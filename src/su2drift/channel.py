@@ -1,22 +1,26 @@
 """The correlated-rotation diffusion channel on N qubits.
 
-The channel is the composition of the twirling map with diffusion steps
-acting on trailing qubit blocks.  Its action on projector operators is the
-iterative pipeline: expand the twirled input in convention 1, apply the
-first diffusion step, raise the convention, apply the next step, and so on,
-producing amplitudes in convention N-1.  A Markov-chain Monte Carlo
-integrator over the same noise model provides an independent oracle.
+The channel is the twirl followed by N-1 diffusion steps, step i acting on
+the trailing qubit blocks of coupling convention i.  It runs on block
+arrays (see coupling): the input is twirled into convention 1, each step
+mixes the total-momentum axis elementwise with transfer amplitudes R(t),
+the convention is raised between steps, and the convention-(N-1) result is
+embedded as a dense matrix.  channel_apply validates its input; the
+unchecked linear core _apply_linear also serves the Choi matrix and the
+three-qubit bridge.  A Markov-chain Monte Carlo integrator over the same
+noise model provides an independent oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import coupling, su2
+from . import coupling, numerics, su2
 from .halfint import HalfInteger
 from .wigner import _sixj_t, triangle_ok
 
@@ -34,6 +38,8 @@ class ChannelSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one qubit")
+        if not math.isfinite(self.t):
+            raise ValueError(f"diffusion time must be finite, got {self.t}")
         if self.t < 0:
             raise ValueError("diffusion time must be non-negative")
 
@@ -66,77 +72,54 @@ def r_coefficient(J_out, j1p, j2p, J_in, j1, j2, t) -> float:
     return _r_coefficient_t(*args, float(t))
 
 
-def apply_diffusion_step(exp: coupling.ProjectorExpansion, i: int, t: float):
-    """Apply the i-th diffusion step to an expansion stored in convention i.
+def apply_diffusion_step(blocks: np.ndarray, N: int, i: int, t: float) -> np.ndarray:
+    """Apply the i-th diffusion step to a convention-i block array.
 
-    Each P_J^{a,a'} maps to sum_{J_i} R(t) P_{J_i}^{a,a'} where the block
-    momenta entering R are the left/right totals of the two paths.
+    Each P_J^{a,a'} maps to sum_{J'} R(t) P_{J'}^{a,a'}, where the block
+    momenta entering R are the left and right totals of the paths a, a'.
     """
-    if exp.k != i:
-        raise ValueError(f"expansion is in convention {exp.k}, need {i}")
-    terms = {}
-    for (tJ, a, ap), amp in exp.terms.items():
-        tj1, tj2 = a.t_left, a.t_right
-        tj1p, tj2p = ap.t_left, ap.t_right
-        lo = max(abs(tj1 - tj2), abs(tj1p - tj2p))
-        hi = min(tj1 + tj2, tj1p + tj2p)
-        for tJ_out in range(lo, hi + 1, 2):
-            r = _r_coefficient_t(tJ_out, tj1p, tj2p, tJ, tj1, tj2, t)
-            if r != 0.0:
-                key = (tJ_out, a, ap)
-                terms[key] = terms.get(key, 0.0) + amp * r
-    return coupling.ProjectorExpansion(exp.n, i, terms)
+    conv = coupling.convention(N, i)
+    tjs, types = conv.tjs, conv.block_types
+    r = np.array([
+        _r_coefficient_t(tjo, tj1p, tj2p, tj, tj1, tj2, t)
+        for tjo, tj, (tj1, tj2), (tj1p, tj2p) in itertools.product(tjs, tjs, types, types)
+    ]).reshape(len(tjs), len(tjs), len(types), len(types))
+    mix = r[:, :, conv.type_of[:, None], conv.type_of]
+    return np.einsum("ojab,...jab->...oab", mix, blocks)
 
 
-def channel_on_projector(N: int, J, alpha, alpha_p, t: float):
-    """Full channel action on P_J^{alpha,alpha'} given in convention 1.
+def channel_on_blocks(blocks: np.ndarray, N: int, t: float) -> np.ndarray:
+    """Diffusion steps 1..N-1 on a convention-1 block array.
 
-    Returns the output expansion in convention N-1.
+    Step i runs in convention i, so the array is raised between steps and
+    the result is in convention N-1.
     """
-    tJ = HalfInteger.of(J).twice
-    for p in (alpha, alpha_p):
-        p.validate()
-        if p.k != 1 or p.n != N or not triangle_ok(p.t_left, p.t_right, tJ):
-            raise ValueError("labels must be valid convention-1 paths for J")
-    exp = coupling.ProjectorExpansion(N, 1, {(tJ, alpha, alpha_p): 1.0})
-    exp = apply_diffusion_step(exp, 1, t)
+    blocks = apply_diffusion_step(blocks, N, 1, t)
     for i in range(2, N):
-        exp = coupling.convention_shift(exp, "raise")
-        exp = apply_diffusion_step(exp, i, t)
-    return exp
-
-
-@lru_cache(maxsize=256)
-def _channel_on_projector_cached(N, tJ, alpha, alpha_p, t):
-    return channel_on_projector(N, HalfInteger(tJ), alpha, alpha_p, t)
+        blocks = apply_diffusion_step(coupling.raise_convention(blocks, N, i - 1), N, i, t)
+    return blocks
 
 
 def _apply_linear(rho: np.ndarray, spec: ChannelSpec) -> np.ndarray:
-    """Channel action extended linearly to arbitrary (non-Hermitian) inputs."""
-    N, t = spec.n, spec.t
+    """Channel action extended linearly to any operators; batched on leading axes."""
+    N = spec.n
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2**N, 2**N):
+    if rho.shape[-2:] != (2**N, 2**N):
         raise ValueError(f"expected a {2**N}-dimensional matrix")
     if N > DENSE_N_MAX:
         raise ValueError(f"dense mode capped at N={DENSE_N_MAX}")
     if N == 1:
-        return np.trace(rho) * np.eye(2, dtype=complex) / 2.0
-    twirled = coupling._twirl_linear(rho, N)
-    in_exp = coupling.expansion_from_twirled(twirled, k=1)
-    out = np.zeros_like(rho)
-    acc = {}
-    for (tJ, a, ap), amp in in_exp.terms.items():
-        piece = _channel_on_projector_cached(N, tJ, a, ap, t)
-        for key, val in piece.terms.items():
-            acc[key] = acc.get(key, 0.0) + amp * val
-    out_exp = coupling.ProjectorExpansion(N, N - 1, acc)
-    return out_exp.dense()
+        return np.trace(rho, axis1=-2, axis2=-1)[..., None, None] * np.eye(2) / 2.0
+    blocks = channel_on_blocks(coupling._twirl_linear(rho, N), N, spec.t)
+    return coupling.embed_blocks(blocks, N, N - 1)
 
 
 def channel_apply(rho: np.ndarray, spec: ChannelSpec) -> np.ndarray:
-    """Channel output for a density matrix input (dense mode)."""
-    out = _apply_linear(rho, spec)
-    return out
+    """Channel output for a density matrix input (dense mode).
+
+    Rejects an input that is not a 2^N-dimensional density matrix.
+    """
+    return _apply_linear(numerics.validate_density(rho, 2**spec.n), spec)
 
 
 def choi_matrix(spec: ChannelSpec, subspace: str = "full") -> np.ndarray:
@@ -158,11 +141,13 @@ def choi_matrix(spec: ChannelSpec, subspace: str = "full") -> np.ndarray:
         raise ValueError(f"full Choi mode capped at N={CHOI_N_MAX}")
     d = 2**spec.n
     out = np.zeros((d * d, d * d), dtype=complex)
+    units = np.zeros((d, d, d), dtype=complex)
     for k in range(d):
-        for l in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[k, l] = 1.0
-            out[k * d:(k + 1) * d, l * d:(l + 1) * d] = _apply_linear(unit, spec)
+        # one engine call per input row: units[l] = |k><l| for every l
+        units[:] = 0.0
+        units[:, k, :] = np.eye(d)
+        outs = _apply_linear(units, spec)
+        out[k * d:(k + 1) * d] = outs.transpose(1, 0, 2).reshape(d, d * d)
     return out
 
 

@@ -130,9 +130,6 @@ def cmd_channel(args) -> int:
 
 
 def cmd_three(args) -> int:
-    cfg = numerics.OptimizerConfig(
-        restarts=args.restarts, tolerance=args.opt_tol, seed=args.seed or 7
-    )
     if args.action == "fidelity":
         if args.grid:
             best, worst = None, None
@@ -148,10 +145,13 @@ def cmd_three(args) -> int:
         print("average:", FMT % three_qubit.average_fidelity(args.t))
         return 0
     if args.action == "threshold":
-        thr = three_qubit.coherent_info_threshold(tol=args.opt_tol if args.opt_tol < 0.1 else 1e-3)
+        thr = three_qubit.coherent_info_threshold()
         print("coherent-information threshold t* =", FMT % thr)
         return 0
     # sweep
+    cfg = numerics.OptimizerConfig(
+        restarts=args.restarts, tolerance=args.opt_tol, seed=args.seed or 7
+    )
     ts = np.linspace(args.t_from, args.t_to, args.t_steps)
     rows = []
     if args.quantity == "avg-fidelity":
@@ -274,11 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     tw.add_argument("--t-to", type=float, required=True)
     tw.add_argument("--t-steps", type=int, default=21)
     tw.add_argument("--out", type=str, default=None)
+    tw.add_argument("--restarts", type=int, default=8)
+    tw.add_argument("--opt-tol", type=float, default=1e-9)
+    tw.add_argument("--seed", type=int, default=_seed_default() or None)
     t3s.add_parser("threshold", help="positive-coherent-information threshold")
-    for sp in (tf, tw, t3s.choices["threshold"]):
-        sp.add_argument("--restarts", type=int, default=8)
-        sp.add_argument("--opt-tol", type=float, default=1e-9)
-        sp.add_argument("--seed", type=int, default=_seed_default() or None)
     t3.set_defaults(func=cmd_three)
 
     v = sub.add_parser("verify", help="run the named self-check suite")

@@ -1,10 +1,20 @@
-"""Spin-coupling paths, coupled bases, projectors and the twirling map.
+"""Spin-coupling paths, coupled bases, and twirled operators as block arrays.
 
 Qubit 1 is the most significant tensor factor, and qubit |0> carries spin
 projection +1/2.  A convention-k path couples spins 1..k ascending and
 spins N..k+1 descending; the two blocks are combined last.  Multiplicity
 bases are ordered by sorting paths lexicographically on their twice-j
 sequences, left sequence first.
+
+A twirled operator in convention k is one block array T[..., j, a, a'],
+standing for sum_{J,a,a'} T[J,a,a'] P_J^{a,a'} with
+P_J^{a,a'} = (1/(2J+1)) sum_M |J M a><J M a'|.  The axis j runs over
+total_j_values(N); a and a' run over all convention-k paths, the same for
+every J, and entries whose path cannot couple to J are zero.  Leading axes
+are batch axes.  Twirl and embed are one product each with
+basis_matrix(N, k).  Raising the convention from k to k+1 is
+T_J -> V_J T_J V_J^T with a real orthogonal recoupling matrix V_J that has
+at most two nonzeros per row; the transpose lowers.
 """
 
 from __future__ import annotations
@@ -75,6 +85,15 @@ def _walks(length: int) -> list:
     return walks
 
 
+def _all_paths(N: int, k: int) -> list:
+    """Every convention-k path for N spins, sorted, whatever its total J."""
+    return sorted(
+        CouplingPath(k, left, tuple(reversed(right)))
+        for left in _walks(k)
+        for right in _walks(N - k)
+    )
+
+
 def enumerate_paths(N: int, J, k: int) -> list:
     """All convention-k paths for N spins terminating at total momentum J."""
     if not 1 <= N <= N_MAX:
@@ -82,13 +101,7 @@ def enumerate_paths(N: int, J, k: int) -> list:
     if not 1 <= k <= N - 1:
         raise ValueError(f"k={k} out of range [1, {N - 1}]")
     tJ = HalfInteger.of(J).twice
-    paths = [
-        CouplingPath(k, left, tuple(reversed(right)))
-        for left in _walks(k)
-        for right in _walks(N - k)
-        if triangle_ok(left[-1], right[-1], tJ)
-    ]
-    return sorted(paths)
+    return [p for p in _all_paths(N, k) if triangle_ok(p.t_left, p.t_right, tJ)]
 
 
 def multiplicity(N: int, J) -> int:
@@ -202,19 +215,12 @@ def coupled_basis_vector(N: int, J, M, path: CouplingPath) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def basis_layout(N: int, k: int) -> tuple:
-    """Ordered (twice_J, path, twice_M) labels of the full coupled basis."""
-    labels = []
-    for tJ in total_j_values(N):
-        for path in enumerate_paths(N, HalfInteger(tJ), k):
-            for tM in range(tJ, -tJ - 1, -2):
-                labels.append((tJ, path, tM))
-    return tuple(labels)
-
-
-@lru_cache(maxsize=64)
 def basis_matrix(N: int, k: int) -> np.ndarray:
-    """Unitary whose columns are the coupled basis states in layout order."""
+    """Unitary whose columns are the coupled basis states |J, M, path>.
+
+    Columns run over J ascending, then the convention-k paths of J in
+    sorted order, then M = J, J-1, ..., -J.
+    """
     cols = []
     for tJ in total_j_values(N):
         for path in enumerate_paths(N, HalfInteger(tJ), k):
@@ -222,21 +228,131 @@ def basis_matrix(N: int, k: int) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def projector_matrix(N: int, J, alpha: CouplingPath, alpha_p: CouplingPath) -> np.ndarray:
-    """Dense operator P_J^{alpha,alpha'} = (1/(2J+1)) sum_M |JMa><JMa'|."""
-    if alpha.k != alpha_p.k:
-        raise ValueError("paths must share one convention")
-    tJ = HalfInteger.of(J).twice
-    a = coupled_basis_states(N, J, alpha)
-    b = coupled_basis_states(N, J, alpha_p)
-    return (a @ b.conj().T) / (tJ + 1)
+@dataclass(frozen=True)
+class Convention:
+    """Index layout of convention-k block arrays for N spins.
+
+    paths lists every convention-k path (each pair of a left and a right
+    walk) in sorted order; members[j] indexes the paths that couple to the
+    total momentum tjs[j].  block_types lists the distinct (left total,
+    right total) pairs and type_of maps each path to its pair.
+    raise_matrix[j] is V_J, mapping path amplitudes of convention k to
+    convention k+1 (None for k = N-1).
+    """
+
+    paths: tuple
+    tjs: tuple
+    members: tuple
+    block_types: tuple
+    type_of: np.ndarray
+    raise_matrix: np.ndarray | None
 
 
-@lru_cache(maxsize=4096)
-def _projector_cached(N: int, tJ: int, alpha: CouplingPath, alpha_p: CouplingPath):
-    mat = projector_matrix(N, HalfInteger(tJ), alpha, alpha_p)
-    mat.setflags(write=False)
-    return mat
+@lru_cache(maxsize=64)
+def convention(N: int, k: int) -> Convention:
+    """Layout and raising matrices of the convention-k block arrays."""
+    if not 1 <= N <= N_MAX:
+        raise ValueError(f"N={N} out of range [1, {N_MAX}]")
+    if not 1 <= k <= N - 1:
+        raise ValueError(f"k={k} out of range [1, {N - 1}]")
+    paths = tuple(_all_paths(N, k))
+    tjs = tuple(total_j_values(N))
+    members = tuple(
+        np.array([a for a, p in enumerate(paths) if triangle_ok(p.t_left, p.t_right, tj)])
+        for tj in tjs
+    )
+    block_types = tuple(sorted({(p.t_left, p.t_right) for p in paths}))
+    type_of = np.array([block_types.index((p.t_left, p.t_right)) for p in paths])
+    v = None
+    if k < N - 1:
+        raised = {p: b for b, p in enumerate(_all_paths(N, k + 1))}
+        v = np.zeros((len(tjs), len(raised), len(paths)))
+        for j, tj in enumerate(tjs):
+            for a in members[j]:
+                for new, coeff in _raised_paths(paths[a], tj):
+                    v[j, raised[new], a] = coeff
+        v.setflags(write=False)
+    return Convention(paths, tjs, members, block_types, type_of, v)
+
+
+def _raised_paths(path: CouplingPath, tJ: int) -> list:
+    """A convention-k path re-expressed in convention k+1, with amplitudes.
+
+    The sum runs over the new left entry j_{1..k+1}; the coefficient is
+    U(j_{1..k}, 1/2, J, j_{k+2..N}; j_{1..k+1}, j_{k+1..N}).
+    """
+    half = HalfInteger(1)
+    t_prev = path.t_left  # j_{1..k}
+    t_low = path.right[0]  # j_{k+1..N}
+    t_next = path.right[1]  # j_{k+2..N}
+    out = []
+    for t_new in (t_prev - 1, t_prev + 1):
+        if t_new < 0 or not triangle_ok(t_new, t_next, tJ):
+            continue
+        coeff = recoupling_u(
+            HalfInteger(t_prev), half, HalfInteger(tJ), HalfInteger(t_next),
+            HalfInteger(t_new), HalfInteger(t_low),
+        )
+        if coeff != 0.0:
+            out.append((CouplingPath(path.k + 1, path.left + (t_new,), path.right[1:]), coeff))
+    return out
+
+
+def raise_convention(blocks: np.ndarray, N: int, k: int) -> np.ndarray:
+    """Re-express a convention-k block array in convention k+1: V_J T_J V_J^T."""
+    if not 1 <= k <= N - 2:
+        raise ValueError(f"cannot raise convention {k} for N={N}")
+    v = convention(N, k).raise_matrix
+    return v @ blocks @ v.transpose(0, 2, 1)
+
+
+def lower_convention(blocks: np.ndarray, N: int, k: int) -> np.ndarray:
+    """Re-express a convention-k block array in convention k-1: V_J^T T_J V_J."""
+    if not 2 <= k <= N - 1:
+        raise ValueError(f"cannot lower convention {k} for N={N}")
+    v = convention(N, k - 1).raise_matrix
+    return v.transpose(0, 2, 1) @ blocks @ v
+
+
+def _twirl_linear(rho: np.ndarray, N: int, k: int = 1) -> np.ndarray:
+    """Convention-k block array of the twirl of any linear operator(s).
+
+    T[..., j, a, a'] = sum_M <J M a|rho|J M a'>; leading axes are batch axes.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (2**N, 2**N):
+        raise ValueError(f"expected a {2**N}-dimensional matrix")
+    conv = convention(N, k)
+    basis = basis_matrix(N, k)
+    sigma = basis.conj().T @ rho @ basis
+    batch = rho.shape[:-2]
+    out = np.zeros(batch + (len(conv.tjs), len(conv.paths), len(conv.paths)), dtype=complex)
+    offset = 0
+    for j, (tj, idx) in enumerate(zip(conv.tjs, conv.members)):
+        size = len(idx) * (tj + 1)
+        sub = sigma[..., offset:offset + size, offset:offset + size]
+        sub = sub.reshape(batch + (len(idx), tj + 1, len(idx), tj + 1))
+        out[..., j, idx[:, None], idx] = np.trace(sub, axis1=-3, axis2=-1)
+        offset += size
+    return out
+
+
+def embed_blocks(blocks: np.ndarray, N: int, k: int) -> np.ndarray:
+    """Dense operator sum_{J,a,a'} T[J,a,a'] P_J^{a,a'} of a convention-k block array.
+
+    P_J^{a,a'} = (1/(2J+1)) sum_M |J M a><J M a'|; leading axes are batch axes.
+    """
+    conv = convention(N, k)
+    batch = blocks.shape[:-3]
+    sigma = np.zeros(batch + (2**N, 2**N), dtype=complex)
+    offset = 0
+    for j, (tj, idx) in enumerate(zip(conv.tjs, conv.members)):
+        size = len(idx) * (tj + 1)
+        sub = np.einsum("...ab,mn->...ambn", blocks[..., j, idx[:, None], idx], np.eye(tj + 1))
+        sigma[..., offset:offset + size, offset:offset + size] = sub.reshape(batch + (size, size)) / (tj + 1)
+        offset += size
+    basis = basis_matrix(N, k)
+    return basis @ sigma @ basis.conj().T
 
 
 @dataclass
@@ -269,42 +385,21 @@ class TwirledState:
 
 def twirl(rho: np.ndarray, N: int) -> TwirledState:
     """Project a density matrix onto the twirled block form."""
-    st = _twirl_linear(rho, N)
-    st.validate()
-    return st
-
-
-def _twirl_linear(rho: np.ndarray, N: int) -> TwirledState:
-    """Twirling without positivity checks; valid for any linear operator."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2**N, 2**N):
         raise ValueError(f"expected a {2**N}-dimensional matrix")
-    k = 1 if N > 1 else None
     if N == 1:
-        p = complex(np.trace(rho))
-        return TwirledState(1, {1: (p.real, np.ones((1, 1), dtype=complex))})
-    basis = basis_matrix(N, k)
-    sigma = basis.conj().T @ rho @ basis
-    layout = basis_layout(N, k)
-    blocks = {}
-    offset = 0
-    for tj in total_j_values(N):
-        paths = enumerate_paths(N, HalfInteger(tj), k)
-        d = len(paths)
-        dim_rep = tj + 1
-        # Layout within the block: path-major, M-minor.
-        sub = sigma[offset:offset + d * dim_rep, offset:offset + d * dim_rep]
-        sub = sub.reshape(d, dim_rep, d, dim_rep)
-        mult = np.trace(sub, axis1=1, axis2=3)
-        p = float(np.trace(mult).real)
-        if abs(p) < 1e-14:
-            rho_j = np.zeros((d, d), dtype=complex)
-        else:
-            rho_j = mult / p
-        blocks[tj] = (p, rho_j)
-        offset += d * dim_rep
-    assert offset == 2**N
-    return TwirledState(N, blocks)
+        st = TwirledState(1, {1: (float(np.trace(rho).real), np.ones((1, 1), dtype=complex))})
+    else:
+        blocks = _twirl_linear(rho, N)
+        conv = convention(N, 1)
+        st = TwirledState(N, {})
+        for j, (tj, idx) in enumerate(zip(conv.tjs, conv.members)):
+            mult = blocks[j, idx[:, None], idx]
+            p = float(np.trace(mult).real)
+            st.blocks[tj] = (p, mult / p if abs(p) >= 1e-14 else np.zeros_like(mult))
+    st.validate()
+    return st
 
 
 def embed(state: TwirledState, N: int, k: int | None = None) -> np.ndarray:
@@ -316,144 +411,10 @@ def embed(state: TwirledState, N: int, k: int | None = None) -> np.ndarray:
         return p * np.eye(2, dtype=complex) / 2.0
     if k is None:
         k = 1
-    out = np.zeros((2**N, 2**N), dtype=complex)
-    for tj, (p, rho_j) in state.blocks.items():
-        if p == 0.0 and not rho_j.any():
-            continue
-        paths = enumerate_paths(N, HalfInteger(tj), k)
-        for a, pa in enumerate(paths):
-            for b, pb in enumerate(paths):
-                w = p * rho_j[a, b]
-                if w != 0.0:
-                    out += w * _projector_cached(N, tj, pa, pb)
-    return out
-
-
-@dataclass
-class ProjectorExpansion:
-    """A finitely supported expansion over operators P_J^{alpha,alpha'}.
-
-    terms maps (twice_J, alpha, alpha') -> complex amplitude; all paths
-    share the convention k.
-    """
-
-    n: int
-    k: int
-    terms: dict
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((2**self.n, 2**self.n), dtype=complex)
-        for (tJ, a, ap), amp in self.terms.items():
-            if amp != 0.0:
-                out += amp * _projector_cached(self.n, tJ, a, ap)
-        return out
-
-    def block_weights(self) -> dict:
-        """Diagonal weights p_j = sum_alpha amplitude(J, alpha, alpha)."""
-        out = {}
-        for (tJ, a, ap), amp in self.terms.items():
-            if a == ap:
-                out[tJ] = out.get(tJ, 0.0) + complex(amp).real
-        return out
-
-
-def expansion_from_twirled(state: TwirledState, k: int = 1) -> ProjectorExpansion:
-    """Expansion of a twirled state: amplitude(J,a,a') = p_J * (rho_J)_{aa'}.
-
-    The multiplicity matrices are indexed by convention-1 paths; a target
-    convention k > 1 is reached by repeated raising shifts.
-    """
-    N = state.n
-    terms = {}
-    for tj, (p, rho_j) in state.blocks.items():
-        paths = enumerate_paths(N, HalfInteger(tj), 1)
-        for a, pa in enumerate(paths):
-            for b, pb in enumerate(paths):
-                amp = p * rho_j[a, b]
-                if amp != 0.0:
-                    terms[(tj, pa, pb)] = amp
-    exp = ProjectorExpansion(N, 1, terms)
-    for _ in range(k - 1):
-        exp = convention_shift(exp, "raise")
-    return exp
-
-
-def twirled_from_expansion(exp: ProjectorExpansion) -> TwirledState:
-    """Collect an expansion into block form {p_j, rho_j} (in its convention)."""
-    N = exp.n
-    by_j = {}
-    for (tJ, a, ap), amp in exp.terms.items():
-        by_j.setdefault(tJ, {})[(a, ap)] = amp
-    blocks = {}
-    for tj in total_j_values(N):
-        paths = enumerate_paths(N, HalfInteger(tj), exp.k)
-        d = len(paths)
-        mult = np.zeros((d, d), dtype=complex)
-        for (a, ap), amp in by_j.get(tj, {}).items():
-            mult[paths.index(a), paths.index(ap)] = amp
-        p = float(np.trace(mult).real)
-        rho_j = mult / p if abs(p) >= 1e-14 else np.zeros((d, d), dtype=complex)
-        blocks[tj] = (p, rho_j)
-    return TwirledState(N, blocks)
-
-
-def _shift_one_side(path: CouplingPath, tJ: int, direction: str):
-    """Candidate shifted paths with their recoupling amplitudes.
-
-    Raising re-expresses a convention-(k) path in convention (k+1) terms,
-    summing over the new left entry j_{1..k+1}; lowering goes the other way,
-    summing over the new right entry j_{k..N}.  The coefficient is
-    U(j_{1..i-1}, 1/2, J, j_{i+1..N}; j_{1..i}, j_{i..N}) with i the higher
-    of the two conventions involved.
-    """
-    half = HalfInteger(1)
-    out = []
-    if direction == "raise":
-        i = path.k + 1
-        t_prev = path.t_left  # j_{1..i-1}
-        t_low = path.right[0]  # j_{i..N}
-        t_next = path.right[1]  # j_{i+1..N}
-        for t_new in (t_prev - 1, t_prev + 1):
-            if t_new < 0 or not triangle_ok(t_new, t_next, tJ):
-                continue
-            coeff = recoupling_u(
-                HalfInteger(t_prev), half, HalfInteger(tJ), HalfInteger(t_next),
-                HalfInteger(t_new), HalfInteger(t_low),
-            )
-            if coeff != 0.0:
-                new = CouplingPath(i, path.left + (t_new,), path.right[1:])
-                out.append((new, coeff))
-    elif direction == "lower":
-        i = path.k
-        t_prev = path.left[-2]  # j_{1..i-1}
-        t_high = path.left[-1]  # j_{1..i}
-        t_next = path.right[0]  # j_{i+1..N}
-        for t_new in (t_next - 1, t_next + 1):
-            if t_new < 0 or not triangle_ok(t_prev, t_new, tJ):
-                continue
-            coeff = recoupling_u(
-                HalfInteger(t_prev), half, HalfInteger(tJ), HalfInteger(t_next),
-                HalfInteger(t_high), HalfInteger(t_new),
-            )
-            if coeff != 0.0:
-                new = CouplingPath(i - 1, path.left[:-1], (t_new,) + path.right)
-                out.append((new, coeff))
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return out
-
-
-def convention_shift(exp: ProjectorExpansion, direction: str) -> ProjectorExpansion:
-    """Re-express an expansion one convention up or down (exact linear map)."""
-    if direction == "raise" and exp.k >= exp.n - 1:
-        raise ValueError(f"cannot raise convention above {exp.n - 1}")
-    if direction == "lower" and exp.k <= 1:
-        raise ValueError("cannot lower convention below 1")
-    new_k = exp.k + 1 if direction == "raise" else exp.k - 1
-    terms = {}
-    for (tJ, a, ap), amp in exp.terms.items():
-        for new_a, ca in _shift_one_side(a, tJ, direction):
-            for new_ap, cap in _shift_one_side(ap, tJ, direction):
-                key = (tJ, new_a, new_ap)
-                terms[key] = terms.get(key, 0.0) + amp * ca * cap
-    return ProjectorExpansion(exp.n, new_k, terms)
+    conv = convention(N, k)
+    blocks = np.zeros((len(conv.tjs), len(conv.paths), len(conv.paths)), dtype=complex)
+    for j, (tj, idx) in enumerate(zip(conv.tjs, conv.members)):
+        if tj in state.blocks:
+            p, rho_j = state.blocks[tj]
+            blocks[j, idx[:, None], idx] = p * rho_j
+    return embed_blocks(blocks, N, k)

@@ -25,6 +25,23 @@ class OptimizerConfig:
             raise ValueError("tolerance must be positive")
 
 
+def validate_density(rho: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarray:
+    """rho as a complex array, once it is checked to be a dim x dim density
+    matrix: finite, Hermitian, unit trace and PSD, each to tol."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (dim, dim):
+        raise ValueError(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
+    if np.linalg.norm(rho - rho.conj().T) > tol:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > tol:
+        raise ValueError(f"density matrix trace {np.trace(rho).real} deviates from 1")
+    if np.linalg.eigvalsh(rho).min() < -tol:
+        raise ValueError("density matrix is not PSD")
+    return rho
+
+
 def von_neumann_entropy(rho: np.ndarray, tol: float = 1e-10) -> float:
     """Entropy -Tr(rho log2 rho) in bits, with tiny negatives clamped."""
     rho = np.asarray(rho, dtype=complex)

@@ -39,19 +39,6 @@ class UnsupportedRegimeError(ValueError):
     """Raised for diffusion times below the supported minimum."""
 
 
-@dataclass(frozen=True)
-class DiffusionTime:
-    t: float
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("diffusion time must be non-negative")
-
-
-def _as_t(t) -> float:
-    return t.t if isinstance(t, DiffusionTime) else float(t)
-
-
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """2x2 SU(2) matrices from quaternions; batched over leading axes."""
     q = np.asarray(q, dtype=float)
@@ -163,12 +150,12 @@ def _as_xi(xi):
 def heat_coefficient(j, t) -> float:
     """Character-expansion coefficient exp(-j(j+1)t/2) of the density."""
     jv = twice(j) / 2.0
-    return math.exp(-0.5 * jv * (jv + 1.0) * _as_t(t))
+    return math.exp(-0.5 * jv * (jv + 1.0) * float(t))
 
 
 def truncation_j_max(t: float, tol: float = 1e-12) -> HalfInteger:
     """Smallest j whose geometric tail bound on the character sum is < tol."""
-    t = _as_t(t)
+    t = float(t)
     tj = 0
     while True:
         j = tj / 2.0
@@ -184,7 +171,7 @@ def truncation_j_max(t: float, tol: float = 1e-12) -> HalfInteger:
 
 def heat_kernel_density(t, xi, tol: float = 1e-12):
     """Diffusion density p_t at class angle xi, relative to Haar measure."""
-    t = _as_t(t)
+    t = float(t)
     if t < T_MIN:
         raise UnsupportedRegimeError(f"t={t} below supported minimum {T_MIN}")
     xi = np.asarray(_as_xi(xi), dtype=float)
@@ -231,7 +218,7 @@ def heat_kernel_quat(t, rng: np.random.Generator, n: int | None = None) -> np.nd
     The class angle is drawn by inverse-CDF interpolation on a dense grid
     and the rotation axis uniformly on the sphere.
     """
-    t = _as_t(t)
+    t = float(t)
     if t < T_MIN:
         raise UnsupportedRegimeError(f"t={t} below supported minimum {T_MIN}")
     size = 1 if n is None else n

@@ -17,26 +17,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import channel, coupling, numerics
-from .halfint import HalfInteger
 
 LOG2_3 = math.log2(3.0)
 
 #: Multiplicity-label change of basis: columns are |e1>, |e2> in the
 #: (|0>, |1>) basis; orthogonal and symmetric, so it is its own inverse.
 E_BASIS = np.array([[0.5, math.sqrt(3) / 2], [math.sqrt(3) / 2, -0.5]])
-
-
-def validate_qutrit(rho: np.ndarray, tol: float = 1e-10):
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (3, 3):
-        raise ValueError("qutrit state must be 3x3")
-    if np.linalg.norm(rho - rho.conj().T) > tol:
-        raise ValueError("qutrit state is not Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -tol:
-        raise ValueError("qutrit state is not PSD")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise ValueError("qutrit state trace deviates from 1")
-    return rho
 
 
 def pure_qubit_state(theta: float, phi: float) -> np.ndarray:
@@ -81,7 +67,7 @@ def qutrit_channel(rho: np.ndarray, t: float) -> np.ndarray:
     """Closed-form three-qubit channel in the effective qutrit picture."""
     if t < 0:
         raise ValueError("diffusion time must be non-negative")
-    return _qutrit_channel_linear(validate_qutrit(rho), t)
+    return _qutrit_channel_linear(numerics.validate_density(rho, 3), t)
 
 
 @lru_cache(maxsize=64)
@@ -114,35 +100,25 @@ def kraus_operators(t: float, tol: float = 1e-12) -> tuple:
 def qutrit_to_dense(rho: np.ndarray) -> np.ndarray:
     """Embed a qutrit state as a dense twirled 8-dimensional matrix."""
     rho = np.asarray(rho, dtype=complex)
-    label = E_BASIS @ rho[:2, :2] @ E_BASIS  # multiplicity-label basis
-    paths = coupling.enumerate_paths(3, HalfInteger(1), 2)
-    out = np.zeros((8, 8), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            if label[a, b] != 0.0:
-                out += label[a, b] * coupling._projector_cached(3, 1, paths[a], paths[b])
-    sym = coupling.enumerate_paths(3, HalfInteger(3), 2)[0]
-    out += rho[2, 2] * coupling._projector_cached(3, 3, sym, sym)
-    return out
+    # Convention-2 block array: J = 1/2, 3/2 by the paths j12 = 0, 1.
+    blocks = np.zeros((2, 2, 2), dtype=complex)
+    blocks[0] = E_BASIS @ rho[:2, :2] @ E_BASIS  # multiplicity-label basis
+    blocks[1, 1, 1] = rho[2, 2]
+    return coupling.embed_blocks(blocks, 3, 2)
 
 
 def dense_to_qutrit(rho: np.ndarray) -> np.ndarray:
     """Read a twirled 8-dimensional matrix back into the qutrit picture."""
-    basis = coupling.basis_matrix(3, 2)
-    sigma = basis.conj().T @ np.asarray(rho, dtype=complex) @ basis
-    # Layout for N=3, k=2: J=1/2 block (2 paths x 2 states), then J=3/2.
-    sub = sigma[:4, :4].reshape(2, 2, 2, 2)
-    label = np.trace(sub, axis1=1, axis2=3)
+    blocks = coupling._twirl_linear(rho, 3, 2)
     out = np.zeros((3, 3), dtype=complex)
-    out[:2, :2] = E_BASIS @ label @ E_BASIS
-    out[2, 2] = np.trace(sigma[4:, 4:])
+    out[:2, :2] = E_BASIS @ blocks[0] @ E_BASIS
+    out[2, 2] = blocks[1, 1, 1]
     return out
 
 
 def qutrit_channel_general(rho: np.ndarray, t: float) -> np.ndarray:
-    """Qutrit channel computed through the full N = 3 projector pipeline."""
-    dense = qutrit_to_dense(rho)
-    out = channel.channel_apply(dense, channel.ChannelSpec(3, t))
+    """Qutrit channel computed through the general N = 3 channel engine."""
+    out = channel._apply_linear(qutrit_to_dense(rho), channel.ChannelSpec(3, t))
     return dense_to_qutrit(out)
 
 
@@ -215,7 +191,7 @@ def coherent_information(rho: np.ndarray, t: float) -> float:
     The entropy exchange is the entropy of W_kl = Tr(E_k rho E_l^dag) over
     any Kraus set; the value is invariant under Kraus gauge changes.
     """
-    rho = validate_qutrit(rho)
+    rho = numerics.validate_density(rho, 3)
     ops = kraus_operators(t)
     out = qutrit_channel(rho, t)
     w = np.array(
@@ -309,7 +285,7 @@ class Ensemble:
         if any(w < 0 for w in self.weights):
             raise ValueError("ensemble weights must be non-negative")
         for s in self.states:
-            validate_qutrit(s)
+            numerics.validate_density(s, 3)
             evals = np.linalg.eigvalsh(s)
             if evals[-1] < 1.0 - 1e-10:
                 raise ValueError("ensemble states must be pure")

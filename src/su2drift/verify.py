@@ -250,7 +250,7 @@ def check_channel_input_twirl_equivalence(ctx):
 def check_channel_covariance(ctx):
     rng = np.random.default_rng(ctx["seed"] + 5)
     worst = 0.0
-    for n in (2, 3):
+    for n in (2, 3, 4):
         rho = _random_density(rng, 2**n)
         u = su2.haar_sample(rng).matrix
         big = u
@@ -266,32 +266,30 @@ def check_channel_covariance(ctx):
 def check_block_weight_stochastic(ctx):
     worst = 0.0
     for n in (2, 3, 4):
-        tjs = coupling.total_j_values(n)
+        conv = coupling.convention(n, 1)
+        units = [(j, a) for j, idx in enumerate(conv.members) for a in idx]
+        blocks = np.zeros((len(units), len(conv.tjs), len(conv.paths), len(conv.paths)))
+        for u, (j, a) in enumerate(units):
+            blocks[u, j, a, a] = 1.0  # the input P_J^{a,a}
         for t in (0.2, 1.0):
-            for tj in tjs:
-                paths = coupling.enumerate_paths(n, HalfInteger(tj), 1)
-                for a in paths:
-                    out = channel.channel_on_projector(n, HalfInteger(tj), a, a, t)
-                    col = sum(out.block_weights().values())
-                    worst = max(worst, abs(col - 1.0))
+            out = channel.channel_on_blocks(blocks, n, t)
+            col = np.einsum("ujaa->u", out)
+            worst = max(worst, np.abs(col - 1.0).max())
     return worst < 1e-10, f"max column-sum defect {worst:.2e}"
 
 
 def check_ii_commutation(ctx):
     rng = np.random.default_rng(ctx["seed"] + 6)
     rho = _random_density(rng, 8)
-    tw = coupling.twirl(rho, 3)
-    exp1 = coupling.expansion_from_twirled(tw, 1)
+    blocks = coupling._twirl_linear(rho, 3)
     t = 0.8
-    # I_1 then I_2
-    a = coupling.convention_shift(
-        channel.apply_diffusion_step(exp1, 1, t), "raise"
-    )
-    a = channel.apply_diffusion_step(a, 2, t)
-    # I_2 then I_1
-    b = channel.apply_diffusion_step(coupling.convention_shift(exp1, "raise"), 2, t)
-    b = channel.apply_diffusion_step(coupling.convention_shift(b, "lower"), 1, t)
-    worst = np.abs(a.dense() - b.dense()).max()
+    # I_1 then I_2, ending in convention 2
+    a = coupling.raise_convention(channel.apply_diffusion_step(blocks, 3, 1, t), 3, 1)
+    a = channel.apply_diffusion_step(a, 3, 2, t)
+    # I_2 then I_1, ending in convention 1
+    b = channel.apply_diffusion_step(coupling.raise_convention(blocks, 3, 1), 3, 2, t)
+    b = channel.apply_diffusion_step(coupling.lower_convention(b, 3, 2), 3, 1, t)
+    worst = np.abs(coupling.embed_blocks(a, 3, 2) - coupling.embed_blocks(b, 3, 1)).max()
     return worst < 1e-10, f"max commutator defect {worst:.2e}"
 
 

@@ -9,7 +9,6 @@ return 0.0 rather than raising, so callers may sum freely over index ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,19 +35,6 @@ def triangle_ok(ta: int, tb: int, tc: int) -> bool:
         and tb >= 0
         and tc >= 0
     )
-
-
-@dataclass(frozen=True)
-class TriangleTriple:
-    """A triple of angular momenta, possibly violating the triangle rule."""
-
-    a: HalfInteger
-    b: HalfInteger
-    c: HalfInteger
-
-    @property
-    def valid(self) -> bool:
-        return triangle_ok(self.a.twice, self.b.twice, self.c.twice)
 
 
 def _delta_log(ta: int, tb: int, tc: int) -> float:

@@ -1,4 +1,4 @@
-"""Channel pipeline, transfer coefficients, Werner law, Choi, Monte Carlo."""
+"""Channel engine, transfer coefficients, Werner law, Choi, Monte Carlo."""
 
 import math
 
@@ -8,9 +8,7 @@ import pytest
 from su2drift import channel, coupling
 from su2drift.channel import (
     ChannelSpec,
-    apply_diffusion_step,
     channel_apply,
-    channel_on_projector,
     choi_matrix,
     monte_carlo_channel,
     r_coefficient,
@@ -29,8 +27,23 @@ def _random_density(rng, dim):
 def test_spec_validation():
     with pytest.raises(ValueError):
         ChannelSpec(0, 1.0)
-    with pytest.raises(ValueError):
-        ChannelSpec(2, -0.1)
+    for t in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ChannelSpec(2, t)
+
+
+def test_channel_apply_rejects_non_density():
+    spec = ChannelSpec(2, 0.5)
+    bad = [
+        np.ones((4, 4)),  # trace 4
+        np.eye(8) / 8,  # wrong dimension
+        np.diag([1.5, -0.5, 0.0, 0.0]),  # not PSD
+        np.eye(4) / 4 + np.triu(np.ones((4, 4)), 1) * 0.1,  # not Hermitian
+        np.full((4, 4), np.nan),
+    ]
+    for rho in bad:
+        with pytest.raises(ValueError):
+            channel_apply(rho, spec)
 
 
 def test_r_coefficient_identity_at_t0():
@@ -78,23 +91,9 @@ def test_two_qubit_exact_weights():
     )
 
 
-def test_diffusion_step_requires_matching_convention():
-    rng = np.random.default_rng(20)
-    rho = _random_density(rng, 8)
-    exp = coupling.expansion_from_twirled(coupling.twirl(rho, 3), 1)
-    with pytest.raises(ValueError):
-        apply_diffusion_step(exp, 2, 0.5)
-
-
-def test_channel_on_projector_rejects_bad_labels():
-    paths = coupling.enumerate_paths(3, H(1), 2)
-    with pytest.raises(ValueError):
-        channel_on_projector(3, H(1), paths[0], paths[0], 0.5)
-
-
 def test_channel_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(21)
-    for n in (1, 2, 3, 4, 5):
+    for n in range(1, 8):
         rho = _random_density(rng, 2**n)
         out = channel_apply(rho, ChannelSpec(n, 0.7))
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
@@ -150,7 +149,7 @@ def test_werner_shrink_law():
 
 def test_channel_composition_semigroup():
     rng = np.random.default_rng(25)
-    for n in (2, 3):
+    for n in range(2, 7):
         rho = _random_density(rng, 2**n)
         once = channel_apply(channel_apply(rho, ChannelSpec(n, 0.4)), ChannelSpec(n, 0.9))
         direct = channel_apply(rho, ChannelSpec(n, 1.3))
@@ -158,10 +157,15 @@ def test_channel_composition_semigroup():
 
 
 def test_choi_properties():
-    for n in (2, 3):
+    rng = np.random.default_rng(29)
+    for n in (2, 3, 4):
         for t in (0.0, 0.5):
             choi = choi_matrix(ChannelSpec(n, t))
             d = 2**n
+            # contracting with a state reproduces the channel output
+            rho = _random_density(rng, d)
+            out = np.einsum("kl,krlc->rc", rho, choi.reshape(d, d, d, d))
+            assert np.allclose(out, channel_apply(rho, ChannelSpec(n, t)), atol=1e-12)
             assert choi.shape == (d * d, d * d)
             assert np.allclose(choi, choi.conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(choi).min() > -1e-10

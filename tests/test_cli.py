@@ -155,7 +155,13 @@ def test_cli_verify_json_report(tmp_path, capsys):
     assert all("check" in r and "ok" in r for r in obj["results"])
 
 
-def test_cli_usage_error_exit_code(capsys):
+def test_cli_usage_error_exit_code(tmp_path, capsys):
     assert main(["wigner", "unknown-sub"]) == 2
     assert main(["channel", "apply", "--n", "2", "--t", "0.5",
                  "--in", "/nonexistent.json", "--out", "/tmp/x.json"]) == 2
+    dst = tmp_path / "choi.json"
+    assert main(f"channel choi --n 2 --t nan --out {dst}".split()) == 2
+    src = tmp_path / "ones.json"
+    serialize.save_density(str(src), np.ones((4, 4)))
+    assert main(f"channel apply --n 2 --t 0.5 --in {src} --out {dst}".split()) == 2
+    assert not dst.exists()

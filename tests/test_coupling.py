@@ -1,4 +1,4 @@
-"""Coupling paths, coupled bases, twirl, projector expansions, shifts."""
+"""Coupling paths, coupled bases, twirl, block arrays, convention shifts."""
 
 import math
 
@@ -8,18 +8,19 @@ import pytest
 from su2drift import coupling, su2
 from su2drift.coupling import (
     CouplingPath,
+    _twirl_linear,
     basis_matrix,
-    convention_shift,
+    convention,
     coupled_basis_states,
     coupled_basis_vector,
     embed,
+    embed_blocks,
     enumerate_paths,
-    expansion_from_twirled,
+    lower_convention,
     multiplicity,
-    projector_matrix,
+    raise_convention,
     total_j_values,
     twirl,
-    twirled_from_expansion,
 )
 from su2drift.halfint import HalfInteger
 
@@ -106,13 +107,22 @@ def test_coupled_states_collective_rotation_covariance():
             assert np.allclose(big @ cols, cols @ d, atol=1e-12)
 
 
-def test_projector_matrix_orthogonality():
+def _projector(n, tj, a, b):
+    """P_J^{a,b} in convention 1, embedded from a single-entry block array."""
+    conv = convention(n, 1)
+    j = conv.tjs.index(tj)
+    idx = conv.members[j]
+    blocks = np.zeros((len(conv.tjs), len(conv.paths), len(conv.paths)), complex)
+    blocks[j, idx[a], idx[b]] = 1.0
+    return embed_blocks(blocks, n, 1)
+
+
+def test_embedded_projector_orthogonality():
     n = 3
     tj = 1
-    paths = enumerate_paths(n, H(tj), 1)
-    p00 = projector_matrix(n, H(tj), paths[0], paths[0])
-    p01 = projector_matrix(n, H(tj), paths[0], paths[1])
-    p11 = projector_matrix(n, H(tj), paths[1], paths[1])
+    p00 = _projector(n, tj, 0, 0)
+    p01 = _projector(n, tj, 0, 1)
+    p11 = _projector(n, tj, 1, 1)
     # normalized so that tr P = 1; products scale by 1/(2J+1)
     assert np.allclose(p00 @ p00, p00 / (tj + 1), atol=1e-13)
     assert np.allclose(p01 @ p01, 0.0, atol=1e-13)
@@ -158,52 +168,39 @@ def test_twirl_is_projection():
     assert np.allclose(embed(tw_again, n), once, atol=1e-12)
 
 
-def test_expansion_roundtrip():
-    rng = np.random.default_rng(14)
-    for n in (2, 3, 4):
-        rho = _random_density(rng, 2**n)
-        tw = twirl(rho, n)
-        exp = expansion_from_twirled(tw, k=1)
-        assert exp.k == 1
-        back = twirled_from_expansion(exp)
-        for tj, (p, rj) in tw.blocks.items():
-            p2, rj2 = back.blocks[tj]
-            assert p * rj == pytest.approx(p2 * rj2, abs=1e-12)
-        assert np.allclose(exp.dense(), embed(tw, n), atol=1e-12)
-
-
 def test_block_weights_convention_independent():
     rng = np.random.default_rng(17)
     for n in (3, 4):
         rho = _random_density(rng, 2**n)
-        exp = expansion_from_twirled(twirl(rho, n), k=1)
-        w1 = exp.block_weights()
-        w2 = convention_shift(exp, "raise").block_weights()
-        for tj in w1:
-            assert w1[tj] == pytest.approx(w2[tj], abs=1e-12)
+        blocks = _twirl_linear(rho, n)
+        w1 = np.einsum("jaa->j", blocks).real
+        w2 = np.einsum("jaa->j", raise_convention(blocks, n, 1)).real
+        assert w1 == pytest.approx(w2, abs=1e-12)
 
 
 def test_convention_shift_matches_dense():
+    # raising keeps the operator; the transpose lowers back exactly
     rng = np.random.default_rng(15)
     for n in (3, 4, 5):
         rho = _random_density(rng, 2**n)
-        exp = expansion_from_twirled(twirl(rho, n), 1)
-        dense0 = exp.dense()
-        for _ in range(n - 2):
-            exp = convention_shift(exp, "raise")
-            assert np.allclose(exp.dense(), dense0, atol=1e-11)
-        for _ in range(n - 2):
-            exp = convention_shift(exp, "lower")
-            assert np.allclose(exp.dense(), dense0, atol=1e-11)
-        assert exp.k == 1
+        blocks0 = _twirl_linear(rho, n)
+        dense0 = embed_blocks(blocks0, n, 1)
+        blocks = blocks0
+        for k in range(1, n - 1):
+            blocks = raise_convention(blocks, n, k)
+            assert np.allclose(embed_blocks(blocks, n, k + 1), dense0, atol=1e-11)
+        for k in range(n - 1, 1, -1):
+            blocks = lower_convention(blocks, n, k)
+            assert np.allclose(embed_blocks(blocks, n, k - 1), dense0, atol=1e-11)
+        assert np.allclose(blocks, blocks0, atol=1e-12)
 
 
 def test_convention_shift_bounds():
     rng = np.random.default_rng(16)
     rho = _random_density(rng, 8)
-    exp = expansion_from_twirled(twirl(rho, 3), 1)
+    blocks = _twirl_linear(rho, 3)
     with pytest.raises(ValueError):
-        convention_shift(exp, "lower")
-    top = convention_shift(exp, "raise")
+        lower_convention(blocks, 3, 1)
+    top = raise_convention(blocks, 3, 1)
     with pytest.raises(ValueError):
-        convention_shift(top, "raise")
+        raise_convention(top, 3, 2)
