@@ -38,10 +38,7 @@ class ChannelSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one qubit")
-        if not math.isfinite(self.t):
-            raise ValueError(f"diffusion time must be finite, got {self.t}")
-        if self.t < 0:
-            raise ValueError("diffusion time must be non-negative")
+        numerics.validate_time(self.t)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -204,13 +201,14 @@ def monte_carlo_channel(
     Draws U_1 from Haar, then U_i = U'_i U_{i-1} with U'_i diffusion
     distributed, and averages the conjugated input.  Deterministic for a
     fixed seed; standard errors come from merged Welford accumulators over
-    the real and imaginary parts.
+    the real and imaginary parts.  Rejects an input that is not a
+    2^N-dimensional density matrix.
     """
     if samples < 1000:
         raise ValueError("need at least 10^3 samples")
     N, t = spec.n, spec.t
     d = 2**N
-    rho = np.asarray(rho, dtype=complex)
+    rho = numerics.validate_density(rho, d)
     rng = np.random.default_rng(seed)
     acc_re = _Welford((d, d))
     acc_im = _Welford((d, d))

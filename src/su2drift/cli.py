@@ -25,8 +25,17 @@ from .wigner import clebsch_gordan, recoupling_u, selection_ok_cg, wigner_6j
 FMT = "%.17g"
 
 
-def _seed_default() -> int:
-    return int(os.environ.get("SU2DRIFT_SEED", "0"))
+def _seed_default(fallback: int) -> int:
+    """SU2DRIFT_SEED if set, otherwise the subcommand's own fallback."""
+    return int(os.environ.get("SU2DRIFT_SEED", fallback))
+
+
+def _time(value: str) -> float:
+    """argparse type of a diffusion time: finite and non-negative."""
+    try:
+        return numerics.validate_time(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _write_manifest(csv_path: str, args_ns, seed, extra=None):
@@ -150,7 +159,7 @@ def cmd_three(args) -> int:
         return 0
     # sweep
     cfg = numerics.OptimizerConfig(
-        restarts=args.restarts, tolerance=args.opt_tol, seed=args.seed or 7
+        restarts=args.restarts, tolerance=args.opt_tol, seed=args.seed
     )
     ts = np.linspace(args.t_from, args.t_to, args.t_steps)
     rows = []
@@ -193,7 +202,7 @@ def cmd_three(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify.run_verify(quick=args.quick, seed=args.seed or 12345)
+    report = verify.run_verify(quick=args.quick, seed=args.seed)
     for r in report["results"]:
         print(("PASS" if r["ok"] else "FAIL"), r["check"], "-", r["detail"])
     print(f"{report['passed']} passed, {report['failed']} failed")
@@ -234,12 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("kernel", help="heat-kernel density and sampling")
     ks = k.add_subparsers(dest="action", required=True)
     ke = ks.add_parser("eval", help="evaluate the class-angle density")
-    ke.add_argument("--t", type=float, required=True)
+    ke.add_argument("--t", type=_time, required=True)
     ke.add_argument("--xi", type=float, required=True)
     km = ks.add_parser("sample", help="draw group elements, write CSV")
-    km.add_argument("--t", type=float, required=True)
+    km.add_argument("--t", type=_time, required=True)
     km.add_argument("--n", type=int, default=1000)
-    km.add_argument("--seed", type=int, default=_seed_default())
+    km.add_argument("--seed", type=int, default=_seed_default(0))
     km.add_argument("--out", type=str, default=None)
     k.set_defaults(func=cmd_kernel)
 
@@ -247,17 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
     cs = c.add_subparsers(dest="action", required=True)
     ca = cs.add_parser("apply", help="apply to a density matrix from JSON")
     ca.add_argument("--n", type=int, required=True)
-    ca.add_argument("--t", type=float, required=True)
+    ca.add_argument("--t", type=_time, required=True)
     ca.add_argument("--in", dest="infile", type=str, required=True)
     ca.add_argument("--out", type=str, required=True)
     cm = cs.add_parser("mc-check", help="compare against Monte Carlo sampling")
     cm.add_argument("--n", type=int, required=True)
-    cm.add_argument("--t", type=float, required=True)
+    cm.add_argument("--t", type=_time, required=True)
     cm.add_argument("--samples", type=int, default=100000)
-    cm.add_argument("--seed", type=int, default=_seed_default())
+    cm.add_argument("--seed", type=int, default=_seed_default(0))
     cc = cs.add_parser("choi", help="write the Choi matrix as JSON")
     cc.add_argument("--n", type=int, required=True)
-    cc.add_argument("--t", type=float, required=True)
+    cc.add_argument("--t", type=_time, required=True)
     cc.add_argument("--mode", choices=("full", "qutrit"), default="full")
     cc.add_argument("--out", type=str, default="choi.json")
     c.set_defaults(func=cmd_channel)
@@ -265,25 +274,25 @@ def build_parser() -> argparse.ArgumentParser:
     t3 = sub.add_parser("three", help="three-qubit analysis")
     t3s = t3.add_subparsers(dest="action", required=True)
     tf = t3s.add_parser("fidelity", help="fidelity of the effective qubit")
-    tf.add_argument("--t", type=float, required=True)
+    tf.add_argument("--t", type=_time, required=True)
     tf.add_argument("--grid", action="store_true")
     tw = t3s.add_parser("sweep", help="tabulate a quantity over t, write CSV")
     tw.add_argument("--quantity", required=True,
                     choices=("avg-fidelity", "coherent-info", "capacity", "orthogonal"))
-    tw.add_argument("--t-from", type=float, required=True)
-    tw.add_argument("--t-to", type=float, required=True)
+    tw.add_argument("--t-from", type=_time, required=True)
+    tw.add_argument("--t-to", type=_time, required=True)
     tw.add_argument("--t-steps", type=int, default=21)
     tw.add_argument("--out", type=str, default=None)
     tw.add_argument("--restarts", type=int, default=8)
     tw.add_argument("--opt-tol", type=float, default=1e-9)
-    tw.add_argument("--seed", type=int, default=_seed_default() or None)
+    tw.add_argument("--seed", type=int, default=_seed_default(7))
     t3s.add_parser("threshold", help="positive-coherent-information threshold")
     t3.set_defaults(func=cmd_three)
 
     v = sub.add_parser("verify", help="run the named self-check suite")
     v.add_argument("--quick", action="store_true",
                    help="skip large-sample Monte Carlo and optimization gates")
-    v.add_argument("--seed", type=int, default=_seed_default() or None)
+    v.add_argument("--seed", type=int, default=_seed_default(12345))
     v.add_argument("--report", type=str, default=None,
                    help="write a machine-readable JSON report here")
     v.set_defaults(func=cmd_verify)

@@ -1,7 +1,9 @@
-"""Shared numerical utilities: entropies, optimization, quadrature."""
+"""Shared numerical utilities: input checks, entropies, optimization,
+quadrature."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,17 @@ class OptimizerConfig:
             raise ValueError("tolerance must be positive")
 
 
+def validate_time(t) -> float:
+    """t as a float, once it is checked to be a finite, non-negative
+    diffusion time."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"diffusion time must be finite, got {t}")
+    if t < 0:
+        raise ValueError(f"diffusion time must be non-negative, got {t}")
+    return t
+
+
 def validate_density(rho: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarray:
     """rho as a complex array, once it is checked to be a dim x dim density
     matrix: finite, Hermitian, unit trace and PSD, each to tol."""
@@ -43,18 +56,10 @@ def validate_density(rho: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarra
 
 
 def von_neumann_entropy(rho: np.ndarray, tol: float = 1e-10) -> float:
-    """Entropy -Tr(rho log2 rho) in bits, with tiny negatives clamped."""
+    """Entropy -Tr(rho log2 rho) in bits of a density matrix, with tiny
+    negatives clamped."""
     rho = np.asarray(rho, dtype=complex)
-    if np.linalg.norm(rho - rho.conj().T) > tol:
-        raise ValueError("matrix is not Hermitian")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -tol:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {evals.min()})")
-    if abs(evals.sum() - 1.0) > tol:
-        raise ValueError(f"trace {evals.sum()} deviates from 1")
-    evals = np.clip(evals, 0.0, None)
-    nz = evals[evals > EIG_CLAMP]
-    return float(-(nz * np.log2(nz)).sum())
+    return _entropy_fast(validate_density(rho, len(rho), tol))
 
 
 def _entropy_fast(rho: np.ndarray) -> float:

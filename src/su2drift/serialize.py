@@ -1,12 +1,10 @@
-"""JSON schemas for density matrices and twirled block states."""
+"""JSON schema for density matrices."""
 
 from __future__ import annotations
 
 import json
 
 import numpy as np
-
-from .coupling import TwirledState
 
 
 def density_to_json(rho: np.ndarray) -> dict:
@@ -28,29 +26,6 @@ def density_from_json(obj: dict) -> np.ndarray:
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError("re/im shapes do not match dim")
     return re + 1j * im
-
-
-def twirled_to_json(state: TwirledState) -> dict:
-    blocks = []
-    for tj in sorted(state.blocks):
-        p, rho = state.blocks[tj]
-        blocks.append(
-            {
-                "twice_j": tj,
-                "p": p,
-                "rho_re": rho.real.tolist(),
-                "rho_im": rho.imag.tolist(),
-            }
-        )
-    return {"blocks": blocks}
-
-
-def twirled_from_json(obj: dict, n: int) -> TwirledState:
-    blocks = {}
-    for blk in obj["blocks"]:
-        rho = np.asarray(blk["rho_re"], float) + 1j * np.asarray(blk["rho_im"], float)
-        blocks[int(blk["twice_j"])] = (float(blk["p"]), rho)
-    return TwirledState(n, blocks)
 
 
 def load_density(path: str) -> np.ndarray:

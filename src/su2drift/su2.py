@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import eval_chebyu
 
+from . import numerics
 from .halfint import HalfInteger, twice
 
 TWO_PI = 2.0 * math.pi
@@ -155,7 +156,9 @@ def heat_coefficient(j, t) -> float:
 
 def truncation_j_max(t: float, tol: float = 1e-12) -> HalfInteger:
     """Smallest j whose geometric tail bound on the character sum is < tol."""
-    t = float(t)
+    t = numerics.validate_time(t)
+    if t == 0:
+        raise ValueError("the character sum has no finite truncation at t = 0")
     tj = 0
     while True:
         j = tj / 2.0
@@ -171,7 +174,7 @@ def truncation_j_max(t: float, tol: float = 1e-12) -> HalfInteger:
 
 def heat_kernel_density(t, xi, tol: float = 1e-12):
     """Diffusion density p_t at class angle xi, relative to Haar measure."""
-    t = float(t)
+    t = numerics.validate_time(t)
     if t < T_MIN:
         raise UnsupportedRegimeError(f"t={t} below supported minimum {T_MIN}")
     xi = np.asarray(_as_xi(xi), dtype=float)
@@ -218,7 +221,7 @@ def heat_kernel_quat(t, rng: np.random.Generator, n: int | None = None) -> np.nd
     The class angle is drawn by inverse-CDF interpolation on a dense grid
     and the rotation axis uniformly on the sphere.
     """
-    t = float(t)
+    t = numerics.validate_time(t)
     if t < T_MIN:
         raise UnsupportedRegimeError(f"t={t} below supported minimum {T_MIN}")
     size = 1 if n is None else n

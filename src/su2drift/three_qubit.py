@@ -6,6 +6,12 @@ subspace, so a twirled state is effectively a qutrit in the ordered basis
 |e2> = (sqrt(3)|0> - |1>)/2 mix the multiplicity labels |0> (intermediate
 j12 = 0) and |1> (j12 = 1), and |2> stands for the symmetric block.  The
 channel preserves no coherence between the qubit subspace and |2>.
+
+The entropy exchange is the entropy of W_kl = Tr(E_k rho E_l^dag)
+(Schumacher, PRA 54, 2614 (1996)), one product W = X (1 (x) rho) X^dag
+whose m x 9 matrix X holds the flattened Kraus operators as rows.  Each
+public quantity checks its input once and calls one unchecked core, which
+the optimizers call directly.
 """
 
 from __future__ import annotations
@@ -65,8 +71,7 @@ def _qutrit_channel_linear(rho: np.ndarray, t: float) -> np.ndarray:
 
 def qutrit_channel(rho: np.ndarray, t: float) -> np.ndarray:
     """Closed-form three-qubit channel in the effective qutrit picture."""
-    if t < 0:
-        raise ValueError("diffusion time must be non-negative")
+    t = numerics.validate_time(t)
     return _qutrit_channel_linear(numerics.validate_density(rho, 3), t)
 
 
@@ -84,14 +89,14 @@ def qutrit_choi(t: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def kraus_operators(t: float, tol: float = 1e-12) -> tuple:
-    """Kraus set from the Hermitian eigendecomposition of the Choi matrix."""
+def kraus_operators(t: float) -> np.ndarray:
+    """Kraus set as one read-only (m, 3, 3) array, from the Hermitian
+    eigendecomposition of the Choi matrix cut at numerics.EIG_CLAMP."""
     evals, evecs = np.linalg.eigh(qutrit_choi(t))
-    ops = []
-    for lam, vec in zip(evals, evecs.T):
-        if lam > tol:
-            ops.append(math.sqrt(lam) * vec.reshape(3, 3).T)
-    return tuple(ops)
+    keep = evals > numerics.EIG_CLAMP
+    ops = (np.sqrt(evals[keep]) * evecs[:, keep]).T.reshape(-1, 3, 3).transpose(0, 2, 1)
+    ops.setflags(write=False)
+    return ops
 
 
 # --- bridge to the general channel machinery ------------------------------
@@ -188,23 +193,20 @@ def average_fidelity(t: float) -> float:
 def coherent_information(rho: np.ndarray, t: float) -> float:
     """S(E(rho)) - S_env for one input state, in bits.
 
-    The entropy exchange is the entropy of W_kl = Tr(E_k rho E_l^dag) over
-    any Kraus set; the value is invariant under Kraus gauge changes.
+    The entropy exchange is the entropy of W_kl = Tr(E_k rho E_l^dag),
+    formed as W = X (1 (x) rho) X^dag with X the Kraus set flattened to
+    m x 9; the value is invariant under Kraus gauge changes.
     """
-    rho = numerics.validate_density(rho, 3)
-    ops = kraus_operators(t)
-    out = qutrit_channel(rho, t)
-    w = np.array(
-        [[np.trace(ek @ rho @ el.conj().T) for el in ops] for ek in ops]
-    )
-    return numerics.von_neumann_entropy(out) - numerics.von_neumann_entropy(w)
+    t = numerics.validate_time(t)
+    return _ci_fast(numerics.validate_density(rho, 3), t, kraus_operators(t))
 
 
-def _ci_fast(rho: np.ndarray, t: float, ops: tuple) -> float:
+def _ci_fast(rho: np.ndarray, t: float, ops: np.ndarray) -> float:
+    """Coherent information without validation, for optimizer hot paths."""
+    m = len(ops)
+    # X (1 (x) rho) X^dag, with X (1 (x) rho) read off the stack ops @ rho
+    w = (ops @ rho).reshape(m, 9) @ ops.reshape(m, 9).conj().T
     out = _qutrit_channel_linear(rho, t)
-    w = np.array(
-        [[np.trace(ek @ rho @ el.conj().T) for el in ops] for ek in ops]
-    )
     return numerics._entropy_fast(out) - numerics._entropy_fast(w)
 
 
@@ -232,6 +234,7 @@ def maximize_coherent_info(
     """
     from scipy import optimize
 
+    t = numerics.validate_time(t)
     if config is None:
         config = numerics.OptimizerConfig(restarts=8, seed=11)
     ops = kraus_operators(t)
@@ -280,7 +283,9 @@ class Ensemble:
     states: list
 
     def validate(self, tol: float = 1e-12):
-        if abs(sum(self.weights) - 1.0) > tol:
+        if len(self.weights) != len(self.states):
+            raise ValueError("ensemble needs one weight per state")
+        if not abs(sum(self.weights) - 1.0) <= tol:
             raise ValueError("ensemble weights must sum to 1")
         if any(w < 0 for w in self.weights):
             raise ValueError("ensemble weights must be non-negative")
@@ -290,18 +295,12 @@ class Ensemble:
             if evals[-1] < 1.0 - 1e-10:
                 raise ValueError("ensemble states must be pure")
 
-    def average(self) -> np.ndarray:
-        return sum(w * s for w, s in zip(self.weights, self.states))
-
 
 def holevo_chi(ensemble: Ensemble, t: float) -> float:
     """Holevo quantity of an ensemble through the channel, in bits."""
-    avg_out = qutrit_channel(ensemble.average(), t)
-    chi = numerics.von_neumann_entropy(avg_out)
-    for w, s in zip(ensemble.weights, ensemble.states):
-        if w > 0:
-            chi -= w * numerics.von_neumann_entropy(qutrit_channel(s, t))
-    return chi
+    t = numerics.validate_time(t)
+    ensemble.validate()
+    return _chi_fast(ensemble.weights, ensemble.states, t)
 
 
 def _chi_fast(weights, states, t: float) -> float:
@@ -344,17 +343,18 @@ def _sigmoid(x: float) -> float:
 
 def maximize_holevo(
     t: float,
-    max_states: int = 5,
     config: numerics.OptimizerConfig | None = None,
     general_search: bool = True,
 ) -> HolevoResult:
-    """Best Holevo quantity over ensembles of at most max_states pure states.
+    """Best Holevo quantity over ensembles of at most five pure states.
 
     The mirrored-pair family (q, theta) is optimized directly, and a
-    general multi-start search over qubit-block Bloch angles plus |2> with
-    softmax weights guards against states outside the family; sweeps may
-    skip the general stage once it has confirmed the family at nearby t.
+    general multi-start search over four qubit-block Bloch angle pairs plus
+    |2> with softmax weights guards against states outside the family;
+    sweeps may skip the general stage once it has confirmed the family at
+    nearby t.
     """
+    t = numerics.validate_time(t)
     if config is None:
         config = numerics.OptimizerConfig(restarts=16, max_iters=2500, seed=5)
 
@@ -372,7 +372,7 @@ def maximize_holevo(
 
     general_c = family_c
     if general_search:
-        n_qb = max_states - 1
+        n_qb = 4  # qubit-block states; |2> is the fifth
         sym = SYMMETRIC_STATE
 
         def general_obj(p):
@@ -425,6 +425,7 @@ def orthogonal_benchmark(
     pair (|e1> +- i|e2>)/sqrt2 on the strongly shrunk y axis; weights over
     the 2-simplex are optimized for each.
     """
+    t = numerics.validate_time(t)
     if config is None:
         config = numerics.OptimizerConfig(restarts=8, seed=3)
     results = []

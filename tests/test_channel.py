@@ -44,6 +44,8 @@ def test_channel_apply_rejects_non_density():
     for rho in bad:
         with pytest.raises(ValueError):
             channel_apply(rho, spec)
+        with pytest.raises(ValueError):
+            monte_carlo_channel(rho, spec, 1000, seed=1)
 
 
 def test_r_coefficient_identity_at_t0():

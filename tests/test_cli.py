@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from su2drift import serialize
+from su2drift import serialize, three_qubit
 from su2drift.cli import main
-from su2drift.coupling import TwirledState, twirl
 
 
 def _random_density(rng, dim):
@@ -34,17 +33,6 @@ def test_density_json_validation():
         serialize.density_to_json(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         serialize.density_from_json({"dim": 3, "re": [[0.0]], "im": [[0.0]]})
-
-
-def test_twirled_json_roundtrip():
-    rng = np.random.default_rng(41)
-    tw = twirl(_random_density(rng, 8), 3)
-    back = serialize.twirled_from_json(serialize.twirled_to_json(tw), 3)
-    assert isinstance(back, TwirledState)
-    for tj, (p, r) in tw.blocks.items():
-        p2, r2 = back.blocks[tj]
-        assert p == pytest.approx(p2, abs=1e-15)
-        assert np.allclose(r, r2, atol=1e-15)
 
 
 def test_cli_wigner_cg(capsys):
@@ -146,6 +134,38 @@ def test_cli_verify_quick(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_cli_seed_zero_is_used_as_given(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SU2DRIFT_SEED", raising=False)
+    report = tmp_path / "r.json"
+    assert main(f"verify --quick --seed 0 --report {report}".split()) == 0
+    assert json.loads(report.read_text())["seed"] == 0
+    monkeypatch.setenv("SU2DRIFT_SEED", "0")
+    assert main(f"verify --quick --report {report}".split()) == 0
+    assert json.loads(report.read_text())["seed"] == 0
+
+
+def test_cli_sweep_manifest_records_seed_used(tmp_path, capsys, monkeypatch):
+    used = []
+
+    def fake_maximize(t, config=None):
+        used.append(config.seed)
+        return three_qubit.CoherentInfoResult(0.0, 0.5, 0.0, True)
+
+    monkeypatch.setattr(three_qubit, "maximize_coherent_info", fake_maximize)
+    dst = tmp_path / "ci.csv"
+    cmd = f"three sweep --quantity coherent-info --t-from 0 --t-to 1 --t-steps 2 --out {dst}"
+    for env, flag, expect in ((None, "", 7), ("3", "", 3), ("3", " --seed 0", 0)):
+        if env is None:
+            monkeypatch.delenv("SU2DRIFT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SU2DRIFT_SEED", env)
+        used.clear()
+        assert main((cmd + flag).split()) == 0
+        manifest = json.loads((tmp_path / "ci.manifest.json").read_text())
+        assert manifest["seed"] == expect
+        assert used == [expect, expect]
+
+
 def test_cli_verify_json_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     code = main(f"verify --quick --report {report}".split())
@@ -165,3 +185,18 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
     serialize.save_density(str(src), np.ones((4, 4)))
     assert main(f"channel apply --n 2 --t 0.5 --in {src} --out {dst}".split()) == 2
     assert not dst.exists()
+    # a non-finite or negative diffusion time is a usage error everywhere
+    sweep = f"three sweep --quantity avg-fidelity --out {tmp_path / 'sweep.csv'}"
+    for bad in ("nan", "inf", "-0.5"):
+        assert main(["kernel", "eval", "--t", bad, "--xi", "1"]) == 2
+        assert main(["kernel", "sample", "--t", bad, "--n", "5",
+                     "--out", str(tmp_path / "k.csv")]) == 2
+        assert main(["three", "fidelity", "--t", bad]) == 2
+        assert main(sweep.split() + ["--t-from", bad, "--t-to", "1"]) == 2
+        assert main(sweep.split() + ["--t-from", "0", "--t-to", bad]) == 2
+        assert main(["channel", "mc-check", "--n", "2", "--t", bad]) == 2
+        assert main(["channel", "choi", "--n", "2", "--t", bad,
+                     "--out", str(dst)]) == 2
+    assert not dst.exists()
+    assert not (tmp_path / "sweep.csv").exists()
+    assert not (tmp_path / "k.csv").exists()

@@ -32,6 +32,16 @@ def test_entropy_rejects_invalid_input():
         von_neumann_entropy(np.diag([1.5, -0.5]))  # not PSD
     with pytest.raises(ValueError):
         von_neumann_entropy(np.diag([0.5, 0.2]))  # trace != 1
+    with pytest.raises(ValueError):
+        von_neumann_entropy(np.full((2, 2), np.nan))  # non-finite
+
+
+def test_validate_time():
+    assert numerics.validate_time(0) == 0.0
+    assert numerics.validate_time("0.25") == 0.25
+    for t in (math.nan, math.inf, -math.inf, -1e-12):
+        with pytest.raises(ValueError):
+            numerics.validate_time(t)
 
 
 def test_entropy_clamps_tiny_negatives():

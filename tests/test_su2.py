@@ -102,6 +102,15 @@ def test_kernel_limits():
 def test_kernel_rejects_tiny_time():
     with pytest.raises(su2.UnsupportedRegimeError):
         su2.heat_kernel_density(1e-5, 0.3)
+    rng = np.random.default_rng(0)
+    for t in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError):
+            su2.heat_kernel_density(t, 0.3)
+        with pytest.raises(ValueError):
+            su2.heat_kernel_quat(t, rng, 4)
+    for t in (math.nan, -1.0, 0.0):
+        with pytest.raises(ValueError):
+            su2.truncation_j_max(t)
 
 
 def test_truncation_bound_is_sufficient():
