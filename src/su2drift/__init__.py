@@ -26,12 +26,9 @@ from .su2 import (
 )
 from .coupling import (
     CouplingPath,
-    TwirledState,
     coupled_basis_states,
-    embed,
     enumerate_paths,
     multiplicity,
-    twirl,
 )
 from .channel import (
     ChannelSpec,

@@ -24,20 +24,20 @@ from . import coupling, numerics, su2
 from .halfint import HalfInteger
 from .wigner import _sixj_t, triangle_ok
 
-DENSE_N_MAX = 8
-CHOI_N_MAX = 5
+#: Samples drawn and accumulated per chunk by monte_carlo_channel.
+MC_CHUNK = 20000
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Qubit count and diffusion time of one channel instance."""
+    """Qubit count and diffusion time of one channel instance; n is capped
+    at numerics.N_CAPS["apply"]."""
 
     n: int
     t: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one qubit")
+        numerics.validate_n(self.n, "apply")
         numerics.validate_time(self.t)
 
 
@@ -103,8 +103,6 @@ def _apply_linear(rho: np.ndarray, spec: ChannelSpec) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (2**N, 2**N):
         raise ValueError(f"expected a {2**N}-dimensional matrix")
-    if N > DENSE_N_MAX:
-        raise ValueError(f"dense mode capped at N={DENSE_N_MAX}")
     if N == 1:
         return np.trace(rho, axis1=-2, axis2=-1)[..., None, None] * np.eye(2) / 2.0
     blocks = channel_on_blocks(coupling._twirl_linear(rho, N), N, spec.t)
@@ -122,7 +120,7 @@ def channel_apply(rho: np.ndarray, spec: ChannelSpec) -> np.ndarray:
 def choi_matrix(spec: ChannelSpec, subspace: str = "full") -> np.ndarray:
     """Choi matrix sum_{kl} |k><l| (x) E(|k><l|).
 
-    subspace 'full' works on the 2^N input space (N <= 5);
+    subspace 'full' works on the 2^N input space (N <= numerics.N_CAPS["choi"]);
     'effective_qutrit' covers the three-qubit effective channel and is
     provided by the three-qubit analysis module.
     """
@@ -134,9 +132,7 @@ def choi_matrix(spec: ChannelSpec, subspace: str = "full") -> np.ndarray:
         return three_qubit.qutrit_choi(spec.t)
     if subspace != "full":
         raise ValueError(f"unknown subspace {subspace!r}")
-    if spec.n > CHOI_N_MAX:
-        raise ValueError(f"full Choi mode capped at N={CHOI_N_MAX}")
-    d = 2**spec.n
+    d = 2 ** numerics.validate_n(spec.n, "choi")
     out = np.zeros((d * d, d * d), dtype=complex)
     units = np.zeros((d, d, d), dtype=complex)
     for k in range(d):
@@ -194,7 +190,6 @@ def monte_carlo_channel(
     spec: ChannelSpec,
     samples: int,
     seed: int,
-    chunk: int = 20000,
 ) -> MonteCarloResult:
     """Monte Carlo estimate of the channel output.
 
@@ -214,7 +209,7 @@ def monte_carlo_channel(
     acc_im = _Welford((d, d))
     done = 0
     while done < samples:
-        b = min(chunk, samples - done)
+        b = min(MC_CHUNK, samples - done)
         q = su2.haar_quat(rng, b)
         mats = su2.quat_to_matrix(q)
         big = mats

@@ -4,7 +4,9 @@ Subcommands: wigner (coefficient evaluation), kernel (density evaluation
 and sampling), channel (apply / Monte Carlo check / Choi), three
 (three-qubit quantities, sweeps, threshold), verify (self checks).
 
-Exit codes: 0 success, 1 check failure, 2 bad input.
+Exit codes: 0 success, 1 check failure, 2 bad input.  Each --seed defaults
+to the environment variable SU2DRIFT_SEED when it is set; argparse parses
+that string like the flag's own value, so a non-integer is a usage error.
 """
 
 from __future__ import annotations
@@ -23,11 +25,6 @@ from .halfint import HalfInteger
 from .wigner import clebsch_gordan, recoupling_u, selection_ok_cg, wigner_6j
 
 FMT = "%.17g"
-
-
-def _seed_default(fallback: int) -> int:
-    """SU2DRIFT_SEED if set, otherwise the subcommand's own fallback."""
-    return int(os.environ.get("SU2DRIFT_SEED", fallback))
 
 
 def _time(value: str) -> float:
@@ -248,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     km = ks.add_parser("sample", help="draw group elements, write CSV")
     km.add_argument("--t", type=_time, required=True)
     km.add_argument("--n", type=int, default=1000)
-    km.add_argument("--seed", type=int, default=_seed_default(0))
+    km.add_argument("--seed", type=int, default=os.environ.get("SU2DRIFT_SEED", 0))
     km.add_argument("--out", type=str, default=None)
     k.set_defaults(func=cmd_kernel)
 
@@ -263,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     cm.add_argument("--n", type=int, required=True)
     cm.add_argument("--t", type=_time, required=True)
     cm.add_argument("--samples", type=int, default=100000)
-    cm.add_argument("--seed", type=int, default=_seed_default(0))
+    cm.add_argument("--seed", type=int, default=os.environ.get("SU2DRIFT_SEED", 0))
     cc = cs.add_parser("choi", help="write the Choi matrix as JSON")
     cc.add_argument("--n", type=int, required=True)
     cc.add_argument("--t", type=_time, required=True)
@@ -285,14 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     tw.add_argument("--out", type=str, default=None)
     tw.add_argument("--restarts", type=int, default=8)
     tw.add_argument("--opt-tol", type=float, default=1e-9)
-    tw.add_argument("--seed", type=int, default=_seed_default(7))
+    tw.add_argument("--seed", type=int, default=os.environ.get("SU2DRIFT_SEED", 7))
     t3s.add_parser("threshold", help="positive-coherent-information threshold")
     t3.set_defaults(func=cmd_three)
 
     v = sub.add_parser("verify", help="run the named self-check suite")
     v.add_argument("--quick", action="store_true",
                    help="skip large-sample Monte Carlo and optimization gates")
-    v.add_argument("--seed", type=int, default=_seed_default(12345))
+    v.add_argument("--seed", type=int, default=os.environ.get("SU2DRIFT_SEED", 12345))
     v.add_argument("--report", type=str, default=None,
                    help="write a machine-readable JSON report here")
     v.set_defaults(func=cmd_verify)

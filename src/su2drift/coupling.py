@@ -26,10 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .halfint import HalfInteger
+from .numerics import validate_n
 from .wigner import clebsch_gordan, recoupling_u, triangle_ok
-
-N_MAX = 16
-DENSE_N_MAX = 10
 
 
 @dataclass(frozen=True, order=True)
@@ -96,8 +94,7 @@ def _all_paths(N: int, k: int) -> list:
 
 def enumerate_paths(N: int, J, k: int) -> list:
     """All convention-k paths for N spins terminating at total momentum J."""
-    if not 1 <= N <= N_MAX:
-        raise ValueError(f"N={N} out of range [1, {N_MAX}]")
+    validate_n(N, "paths")
     if not 1 <= k <= N - 1:
         raise ValueError(f"k={k} out of range [1, {N - 1}]")
     tJ = HalfInteger.of(J).twice
@@ -176,8 +173,7 @@ def coupled_basis_states(N: int, J, path: CouplingPath) -> np.ndarray:
     path.validate()
     if path.n != N:
         raise ValueError("path length does not match N")
-    if N > DENSE_N_MAX:
-        raise ValueError(f"dense construction capped at N={DENSE_N_MAX}")
+    validate_n(N, "basis")
     tJ = HalfInteger.of(J).twice
     if not triangle_ok(path.t_left, path.t_right, tJ):
         raise ValueError("path blocks cannot couple to the requested J")
@@ -251,8 +247,7 @@ class Convention:
 @lru_cache(maxsize=64)
 def convention(N: int, k: int) -> Convention:
     """Layout and raising matrices of the convention-k block arrays."""
-    if not 1 <= N <= N_MAX:
-        raise ValueError(f"N={N} out of range [1, {N_MAX}]")
+    validate_n(N, "paths")
     if not 1 <= k <= N - 1:
         raise ValueError(f"k={k} out of range [1, {N - 1}]")
     paths = tuple(_all_paths(N, k))
@@ -353,68 +348,3 @@ def embed_blocks(blocks: np.ndarray, N: int, k: int) -> np.ndarray:
         offset += size
     basis = basis_matrix(N, k)
     return basis @ sigma @ basis.conj().T
-
-
-@dataclass
-class TwirledState:
-    """Block data {p_j, rho_j} of a twirled N-qubit state.
-
-    blocks maps twice_j -> (p_j, rho_j) with rho_j indexed by the sorted
-    convention-1 paths.  Blocks with negligible weight carry a zero rho_j.
-    """
-
-    n: int
-    blocks: dict
-
-    def validate(self, tol: float = 1e-10):
-        total = sum(p for p, _ in self.blocks.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"block weights sum to {total}, not 1")
-        for tj, (p, rho) in self.blocks.items():
-            if p < -1e-12:
-                raise ValueError(f"negative weight {p} in block {tj}")
-            if p < 1e-14:
-                continue
-            if np.linalg.norm(rho - rho.conj().T) > tol:
-                raise ValueError(f"block {tj} multiplicity matrix not Hermitian")
-            if np.linalg.eigvalsh(rho).min() < -tol:
-                raise ValueError(f"block {tj} multiplicity matrix not PSD")
-            if abs(np.trace(rho).real - 1.0) > 1e-12:
-                raise ValueError(f"block {tj} multiplicity matrix trace != 1")
-
-
-def twirl(rho: np.ndarray, N: int) -> TwirledState:
-    """Project a density matrix onto the twirled block form."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2**N, 2**N):
-        raise ValueError(f"expected a {2**N}-dimensional matrix")
-    if N == 1:
-        st = TwirledState(1, {1: (float(np.trace(rho).real), np.ones((1, 1), dtype=complex))})
-    else:
-        blocks = _twirl_linear(rho, N)
-        conv = convention(N, 1)
-        st = TwirledState(N, {})
-        for j, (tj, idx) in enumerate(zip(conv.tjs, conv.members)):
-            mult = blocks[j, idx[:, None], idx]
-            p = float(np.trace(mult).real)
-            st.blocks[tj] = (p, mult / p if abs(p) >= 1e-14 else np.zeros_like(mult))
-    st.validate()
-    return st
-
-
-def embed(state: TwirledState, N: int, k: int | None = None) -> np.ndarray:
-    """Dense matrix sum_j p_j/(2j+1) * 1_{H_j} (x) rho_j in convention k."""
-    if N != state.n:
-        raise ValueError("dimension mismatch")
-    if N == 1:
-        (p, _rho) = state.blocks[1]
-        return p * np.eye(2, dtype=complex) / 2.0
-    if k is None:
-        k = 1
-    conv = convention(N, k)
-    blocks = np.zeros((len(conv.tjs), len(conv.paths), len(conv.paths)), dtype=complex)
-    for j, (tj, idx) in enumerate(zip(conv.tjs, conv.members)):
-        if tj in state.blocks:
-            p, rho_j = state.blocks[tj]
-            blocks[j, idx[:, None], idx] = p * rho_j
-    return embed_blocks(blocks, N, k)

@@ -12,6 +12,12 @@ from scipy import optimize
 #: Shared eigenvalue clamp used before entropies and PSD checks.
 EIG_CLAMP = 1e-12
 
+#: Largest qubit count N of each operation.  "paths": coupling paths and
+#: block-array layouts; "basis": dense coupled bases (2^N x 2^N);
+#: "apply": every ChannelSpec, so channel_apply and monte_carlo_channel;
+#: "choi": the full Choi matrix (4^N x 4^N).
+N_CAPS = {"paths": 16, "basis": 10, "apply": 8, "choi": 5}
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -36,6 +42,14 @@ def validate_time(t) -> float:
     if t < 0:
         raise ValueError(f"diffusion time must be non-negative, got {t}")
     return t
+
+
+def validate_n(N: int, op: str) -> int:
+    """N once it is checked to lie in 1..N_CAPS[op]; checked before anything
+    of size 2^N is allocated."""
+    if not 1 <= N <= N_CAPS[op]:
+        raise ValueError(f"N={N} out of range [1, {N_CAPS[op]}] for {op}")
+    return N
 
 
 def validate_density(rho: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarray:

@@ -1,3 +1,6 @@
+#: Seed the tests pass to the verify checks, the default of `su2drift verify`.
+VERIFY_SEED = 12345
+
 CRITERIA_RESULTS = []
 
 

@@ -5,7 +5,6 @@ summary) with its pinned tolerance.  Stochastic gates run with pinned
 seeds so the whole suite is deterministic.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -15,11 +14,11 @@ from sympy import Rational
 from sympy.physics.quantum.cg import CG
 from sympy.physics.wigner import wigner_6j as sympy_6j
 
-from su2drift import channel, coupling, numerics, su2, three_qubit as tq
+from su2drift import channel, numerics, su2, three_qubit as tq, verify
 from su2drift.halfint import HalfInteger
-from su2drift.wigner import clebsch_gordan, recoupling_u, triangle_ok, wigner_6j
+from su2drift.wigner import clebsch_gordan, wigner_6j
 
-from conftest import record_criterion
+from conftest import VERIFY_SEED, record_criterion
 
 H = HalfInteger
 
@@ -31,44 +30,16 @@ def _random_density(rng, dim):
 
 
 def test_criterion_1_algebra_gates():
-    """CG/6j orthogonality and symmetry for all j <= 3 within 1e-12;
-    recoupling unitarity within 1e-12."""
-    tol = 1e-12
-    worst = 0.0
-    rng_range = range(0, 7)  # twice-j 0..3
-    # CG orthogonality
-    for tj1, tj2 in itertools.product(rng_range, rng_range):
-        ms = [(m1, m2) for m1 in range(-tj1, tj1 + 1, 2)
-              for m2 in range(-tj2, tj2 + 1, 2)]
-        jms = [(tJ, tM) for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
-               for tM in range(-tJ, tJ + 1, 2)]
-        mat = np.array([[clebsch_gordan(H(tj1), H(m1), H(tj2), H(m2), H(tJ), H(tM))
-                         for (tJ, tM) in jms] for (m1, m2) in ms])
-        worst = max(worst, np.abs(mat.T @ mat - np.eye(len(jms))).max())
-    # 6j column symmetry + Racah orthogonality on a spot grid
-    for t1, t2, t3, t4, t5, t6 in itertools.product(rng_range, repeat=6):
-        if not (triangle_ok(t1, t2, t3) and triangle_ok(t1, t5, t6)
-                and triangle_ok(t4, t2, t6) and triangle_ok(t4, t5, t3)):
-            continue
-        ref = wigner_6j(H(t1), H(t2), H(t3), H(t4), H(t5), H(t6))
-        worst = max(
-            worst,
-            abs(wigner_6j(H(t2), H(t1), H(t3), H(t5), H(t4), H(t6)) - ref),
-            abs(wigner_6j(H(t4), H(t5), H(t3), H(t1), H(t2), H(t6)) - ref),
-        )
-    # recoupling unitarity
-    for t1, t2, tJ, t3 in itertools.product(range(0, 7), repeat=4):
-        t12s = [t for t in range(abs(t1 - t2), t1 + t2 + 1, 2)
-                if triangle_ok(t, t3, tJ)]
-        t23s = [t for t in range(abs(t2 - t3), t2 + t3 + 1, 2)
-                if triangle_ok(t1, t, tJ)]
-        if not t12s or len(t12s) != len(t23s):
-            continue
-        mat = np.array([[recoupling_u(H(t1), H(t2), H(tJ), H(t3), H(a), H(b))
-                         for b in t23s] for a in t12s])
-        worst = max(worst, np.abs(mat @ mat.T - np.eye(len(t12s))).max())
-    ok = worst < tol
-    record_criterion("1 algebra gates (tol 1e-12)", ok, f"max defect {worst:.2e}")
+    """CG orthogonality, 6j symmetry and recoupling unitarity for all
+    j <= 3 within 1e-12 (6j symmetry 1e-13), as the verify checks run them."""
+    ctx = {"seed": VERIFY_SEED}
+    results = [
+        verify.check_cg_orthogonality(ctx),
+        verify.check_sixj_symmetry(ctx),
+        verify.check_recoupling_unitarity(ctx),
+    ]
+    ok = all(r[0] for r in results)
+    record_criterion("1 algebra gates (tol 1e-12)", ok, "; ".join(r[1] for r in results))
     assert ok
 
 
@@ -157,44 +128,22 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_werner_shrink():
     """Two-qubit singlet-weight affine factor equals exp(-t) within 1e-10."""
-    singlet = coupling.enumerate_paths(2, H(0), 1)[0]
-    psi = coupling.coupled_basis_vector(2, H(0), H(0), singlet)
-    proj = np.outer(psi, psi.conj())
-    worst = 0.0
-    for t in (0.1, 0.5, 2.0):
-        for p0 in (0.0, 0.2, 0.6, 1.0):
-            rho = p0 * proj + (1 - p0) * (np.eye(4) - proj) / 3.0
-            out = channel.channel_apply(rho, channel.ChannelSpec(2, t))
-            p0_out = float(np.real(psi.conj() @ out @ psi))
-            c_in = (1 - 4 * p0) / 3.0
-            c_out = (1 - 4 * p0_out) / 3.0
-            worst = max(worst, abs(c_out - math.exp(-t) * c_in))
-    ok = worst < 1e-10
-    record_criterion("4 Werner shrink factor exp(-t) (tol 1e-10)", ok,
-                     f"max defect {worst:.2e}")
+    ok, detail = verify.check_werner_shrink({"seed": VERIFY_SEED})
+    record_criterion("4 Werner shrink factor exp(-t) (tol 1e-10)", ok, detail)
     assert ok
 
 
 def test_criterion_5_three_qubit_closed_forms():
     """Closed forms vs the general pipeline within 1e-10 at 4 t-values x 12
     states; symmetric input at t = ln 2 gives diag(3/16, 5/48, 17/24)."""
-    rng = np.random.default_rng(203)
-    worst = 0.0
-    for t in (0.0, 0.2, 1.0, 3.0):
-        for _ in range(12):
-            rho = tq.pure_qubit_state(rng.uniform(0, math.pi),
-                                      rng.uniform(0, 2 * math.pi))
-            worst = max(worst, np.abs(
-                tq.qutrit_channel(rho, t) - tq.qutrit_channel_general(rho, t)
-            ).max())
-    forms_ok = worst < 1e-10
+    forms_ok, forms_detail = verify.check_three_qubit_closed_forms({"seed": VERIFY_SEED})
     out = tq.qutrit_channel(tq.SYMMETRIC_STATE, math.log(2))
     diag_defect = np.abs(out - np.diag([3 / 16, 5 / 48, 17 / 24])).max()
     diag_ok = diag_defect < 1e-12
     ok = forms_ok and diag_ok
     record_criterion(
         "5 three-qubit closed forms (tol 1e-10; symmetric diag 1e-12)", ok,
-        f"max form defect {worst:.1e}, diag defect {diag_defect:.1e}",
+        f"{forms_detail}, diag defect {diag_defect:.1e}",
     )
     assert ok
 

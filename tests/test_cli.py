@@ -175,7 +175,7 @@ def test_cli_verify_json_report(tmp_path, capsys):
     assert all("check" in r and "ok" in r for r in obj["results"])
 
 
-def test_cli_usage_error_exit_code(tmp_path, capsys):
+def test_cli_usage_error_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["wigner", "unknown-sub"]) == 2
     assert main(["channel", "apply", "--n", "2", "--t", "0.5",
                  "--in", "/nonexistent.json", "--out", "/tmp/x.json"]) == 2
@@ -200,3 +200,16 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
     assert not dst.exists()
     assert not (tmp_path / "sweep.csv").exists()
     assert not (tmp_path / "k.csv").exists()
+    # N beyond the cap table is rejected before any 2^N array is built
+    assert main("channel mc-check --n 17 --t 0.5".split()) == 2
+    assert main(f"channel choi --n 6 --t 0.5 --out {dst}".split()) == 2
+    assert not dst.exists()
+    assert "out of range" in capsys.readouterr().err
+    # a non-integer SU2DRIFT_SEED is a usage error; an explicit --seed wins
+    monkeypatch.setenv("SU2DRIFT_SEED", "abc")
+    assert main("verify --quick".split()) == 2
+    samples = tmp_path / "k.csv"
+    assert main(f"kernel sample --t 0.5 --n 5 --out {samples}".split()) == 2
+    assert not samples.exists()
+    assert main(f"kernel sample --t 0.5 --n 5 --seed 5 --out {samples}".split()) == 0
+    assert json.loads((tmp_path / "k.manifest.json").read_text())["seed"] == 5
