@@ -4,8 +4,10 @@ Modules
 -------
 halfint     half-integer spin labels
 wigner      Clebsch-Gordan, 6j, and recoupling coefficients
-su2         group elements, Haar and heat-kernel sampling, irrep matrices
-coupling    angular-momentum coupling schemes, twirl, convention shifts
+su2         group elements as (..., 4) unit-quaternion arrays, Haar and
+            heat-kernel sampling, characters, irrep matrices
+coupling    coupling paths, coupled bases from Clebsch-Gordan products,
+            twirl and embed of block arrays, convention shifts
 channel     the diffusion channel, its Choi matrix, and a Monte Carlo oracle
 three_qubit closed-form three-qubit analysis, fidelities, capacities
 numerics    entropies, derivative-free optimization, quadrature
@@ -15,15 +17,7 @@ verify      named self-check suite
 
 from .halfint import HalfInteger, twice
 from .wigner import clebsch_gordan, recoupling_u, wigner_6j
-from .su2 import (
-    SU2Element,
-    UnsupportedRegimeError,
-    character,
-    haar_sample,
-    heat_kernel_density,
-    heat_kernel_sample,
-    wigner_d,
-)
+from .su2 import UnsupportedRegimeError, character, heat_kernel_density, wigner_d
 from .coupling import (
     CouplingPath,
     coupled_basis_states,

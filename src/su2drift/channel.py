@@ -24,7 +24,9 @@ from . import coupling, numerics, su2
 from .halfint import HalfInteger
 from .wigner import _sixj_t, triangle_ok
 
-#: Samples drawn and accumulated per chunk by monte_carlo_channel.
+#: Samples drawn and accumulated per chunk by monte_carlo_channel up to
+#: N = 4; each further qubit divides the chunk by 4, which keeps every
+#: (chunk, 2^N, 2^N) complex array at 82 MB.
 MC_CHUNK = 20000
 
 
@@ -207,9 +209,10 @@ def monte_carlo_channel(
     rng = np.random.default_rng(seed)
     acc_re = _Welford((d, d))
     acc_im = _Welford((d, d))
+    chunk = MC_CHUNK // 4 ** max(N - 4, 0)
     done = 0
     while done < samples:
-        b = min(MC_CHUNK, samples - done)
+        b = min(chunk, samples - done)
         q = su2.haar_quat(rng, b)
         mats = su2.quat_to_matrix(q)
         big = mats
@@ -222,6 +225,7 @@ def monte_carlo_channel(
         outs = big @ rho @ big.conj().transpose(0, 2, 1)
         acc_re.add_chunk(outs.real)
         acc_im.add_chunk(outs.imag)
+        del outs  # not alive while the next chunk is built
         done += b
     mean = acc_re.mean + 1j * acc_im.mean
     return MonteCarloResult(mean, acc_re.stderr(), acc_im.stderr(), samples)

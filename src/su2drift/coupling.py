@@ -19,6 +19,7 @@ at most two nonzeros per row; the transpose lowers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -115,57 +116,42 @@ def total_j_values(N: int) -> list:
     return list(range(N % 2, N + 1, 2))
 
 
-def _couple(blocks: dict, t_new_first: bool, t_target: int) -> dict:
-    """Couple a spin 1/2 onto a block of states.
+@lru_cache(maxsize=None)
+def _cg_matrix(ta: int, tb: int, tc: int) -> np.ndarray:
+    """Read-only ((ta+1)(tb+1)) x (tc+1) matrix of <a m_a; b m_b | c M>.
 
-    blocks maps twice-m -> vector for a block with definite total momentum;
-    returns the same for the enlarged block with total momentum t_target.
-    The new spin is the left (first) tensor factor when t_new_first.
+    Rows run over (m_a, m_b) with m_b fastest, columns over M; every
+    projection runs from the top down.  So kron(A, B) @ C couples the
+    columns of A (spin a) and B (spin b) to the states |c M>.
     """
-    spin = {1: np.array([1.0, 0.0], dtype=complex),
-            -1: np.array([0.0, 1.0], dtype=complex)}
-    t_old = max(abs(tm) for tm in blocks)
-    out = {}
-    for tm in range(-t_target, t_target + 1, 2):
-        acc = None
-        for tms, vs in spin.items():
-            tmb = tm - tms
-            if abs(tmb) > t_old or tmb not in blocks:
-                continue
-            if t_new_first:
-                cg = clebsch_gordan(
-                    HalfInteger(1), HalfInteger(tms),
-                    HalfInteger(t_old), HalfInteger(tmb),
-                    HalfInteger(t_target), HalfInteger(tm),
-                )
-                term = cg * np.kron(vs, blocks[tmb])
-            else:
-                cg = clebsch_gordan(
-                    HalfInteger(t_old), HalfInteger(tmb),
-                    HalfInteger(1), HalfInteger(tms),
-                    HalfInteger(t_target), HalfInteger(tm),
-                )
-                term = cg * np.kron(blocks[tmb], vs)
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            out[tm] = acc
+    out = np.zeros(((ta + 1) * (tb + 1), tc + 1))
+    pairs = itertools.product(range(ta, -ta - 1, -2), range(tb, -tb - 1, -2))
+    for row, (tma, tmb) in enumerate(pairs):
+        if abs(tma + tmb) <= tc:
+            out[row, (tc - tma - tmb) // 2] = clebsch_gordan(
+                HalfInteger(ta), HalfInteger(tma), HalfInteger(tb), HalfInteger(tmb),
+                HalfInteger(tc), HalfInteger(tma + tmb),
+            )
+    out.setflags(write=False)
     return out
 
 
 @lru_cache(maxsize=4096)
-def _block_states(seq: tuple, new_first: bool) -> tuple:
-    """States |j_block, m> for a chain of spin-1/2 couplings.
+def _block_states(seq: tuple, new_first: bool) -> np.ndarray:
+    """Columns |j_block, m>, m from the top down, of a chain of spin-1/2
+    couplings.
 
     seq is the twice-j sequence of intermediate momenta (first entry 1).
     new_first selects whether each added spin is prepended (right blocks)
-    or appended (left blocks).  Returns (twice_m values, matrix of columns).
+    or appended (left blocks).
     """
-    blocks = {1: np.array([1.0, 0.0], dtype=complex),
-              -1: np.array([0.0, 1.0], dtype=complex)}
-    for t_target in seq[1:]:
-        blocks = _couple(blocks, new_first, t_target)
-    tms = sorted(blocks, reverse=True)
-    return tuple(tms), np.stack([blocks[tm] for tm in tms], axis=1)
+    mat = np.eye(2)
+    for t_old, t_new in zip(seq, seq[1:]):
+        if new_first:
+            mat = np.kron(np.eye(2), mat) @ _cg_matrix(1, t_old, t_new)
+        else:
+            mat = np.kron(mat, np.eye(2)) @ _cg_matrix(t_old, 1, t_new)
+    return mat
 
 
 def coupled_basis_states(N: int, J, path: CouplingPath) -> np.ndarray:
@@ -179,25 +165,10 @@ def coupled_basis_states(N: int, J, path: CouplingPath) -> np.ndarray:
         raise ValueError("path blocks cannot couple to the requested J")
     # Right block is built by adding spins N, N-1, ... with the new spin as
     # the first factor, so its sequence runs from j_N inward.
-    tms_l, mat_l = _block_states(path.left, False)
-    tms_r, mat_r = _block_states(tuple(reversed(path.right)), True)
-    dim = 2**N
-    cols = np.zeros((dim, tJ + 1), dtype=complex)
-    for col, tM in enumerate(range(tJ, -tJ - 1, -2)):
-        acc = np.zeros(dim, dtype=complex)
-        for il, tml in enumerate(tms_l):
-            tmr = tM - tml
-            if tmr not in tms_r:
-                continue
-            cg = clebsch_gordan(
-                HalfInteger(path.t_left), HalfInteger(tml),
-                HalfInteger(path.t_right), HalfInteger(tmr),
-                HalfInteger(tJ), HalfInteger(tM),
-            )
-            if cg != 0.0:
-                acc += cg * np.kron(mat_l[:, il], mat_r[:, tms_r.index(tmr)])
-        cols[:, col] = acc
-    return cols
+    left = _block_states(path.left, False)
+    right = _block_states(tuple(reversed(path.right)), True)
+    cols = np.kron(left, right) @ _cg_matrix(path.t_left, path.t_right, tJ)
+    return cols.astype(complex)
 
 
 def coupled_basis_vector(N: int, J, M, path: CouplingPath) -> np.ndarray:

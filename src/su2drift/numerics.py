@@ -11,6 +11,8 @@ from scipy import optimize
 
 #: Shared eigenvalue clamp used before entropies and PSD checks.
 EIG_CLAMP = 1e-12
+#: Tolerance of each density-matrix condition in validate_density.
+DENSITY_TOL = 1e-10
 
 #: Largest qubit count N of each operation.  "paths": coupling paths and
 #: block-array layouts; "basis": dense coupled bases (2^N x 2^N);
@@ -52,28 +54,28 @@ def validate_n(N: int, op: str) -> int:
     return N
 
 
-def validate_density(rho: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarray:
+def validate_density(rho: np.ndarray, dim: int) -> np.ndarray:
     """rho as a complex array, once it is checked to be a dim x dim density
-    matrix: finite, Hermitian, unit trace and PSD, each to tol."""
+    matrix: finite, Hermitian, unit trace and PSD, each to DENSITY_TOL."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("density matrix has non-finite entries")
-    if np.linalg.norm(rho - rho.conj().T) > tol:
+    if np.linalg.norm(rho - rho.conj().T) > DENSITY_TOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
+    if abs(np.trace(rho).real - 1.0) > DENSITY_TOL:
         raise ValueError(f"density matrix trace {np.trace(rho).real} deviates from 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    if np.linalg.eigvalsh(rho).min() < -DENSITY_TOL:
         raise ValueError("density matrix is not PSD")
     return rho
 
 
-def von_neumann_entropy(rho: np.ndarray, tol: float = 1e-10) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -Tr(rho log2 rho) in bits of a density matrix, with tiny
     negatives clamped."""
     rho = np.asarray(rho, dtype=complex)
-    return _entropy_fast(validate_density(rho, len(rho), tol))
+    return _entropy_fast(validate_density(rho, len(rho)))
 
 
 def _entropy_fast(rho: np.ndarray) -> float:

@@ -260,16 +260,15 @@ def maximize_coherent_info(
     return CoherentInfoResult(best, eps, max(general.fun, 0.0), general.converged)
 
 
-def coherent_info_threshold(
-    lo: float = 0.2, hi: float = 0.35, tol: float = 1e-3, floor: float = 1e-9
-) -> float:
-    """Smallest diffusion time where the best coherent information hits 0."""
+def coherent_info_threshold() -> float:
+    """Smallest diffusion time where the best coherent information drops to
+    1e-9 bits, bisected to 1e-3 within the bracket [0.2, 0.35]."""
     config = numerics.OptimizerConfig(restarts=4, seed=11)
 
     def g(t):
-        return maximize_coherent_info(t, config).value - floor
+        return maximize_coherent_info(t, config).value - 1e-9
 
-    return numerics.bisect_zero(g, lo, hi, tol)
+    return numerics.bisect_zero(g, 0.2, 0.35, 1e-3)
 
 
 # --- classical capacity -----------------------------------------------------
@@ -282,10 +281,10 @@ class Ensemble:
     weights: list
     states: list
 
-    def validate(self, tol: float = 1e-12):
+    def validate(self):
         if len(self.weights) != len(self.states):
             raise ValueError("ensemble needs one weight per state")
-        if not abs(sum(self.weights) - 1.0) <= tol:
+        if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise ValueError("ensemble weights must sum to 1")
         if any(w < 0 for w in self.weights):
             raise ValueError("ensemble weights must be non-negative")

@@ -1,6 +1,7 @@
 """Channel engine, transfer coefficients, Werner law, Choi, Monte Carlo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,19 @@ def test_monte_carlo_chunking_consistent():
     assert np.abs(acc.mean - data.mean(axis=0)).max() < 1e-12
     expect = data.std(axis=0, ddof=1) / math.sqrt(len(data))
     assert np.abs(acc.stderr() - expect).max() < 1e-12
+
+
+def test_monte_carlo_chunk_shrinks_with_register_size():
+    # beyond N = 4 the chunk shrinks by 4 per qubit, so every
+    # (chunk, 2^N, 2^N) complex array stays at 82 MB; a fixed chunk of
+    # 20000 samples peaks near 656 MB here
+    tracemalloc.start()
+    try:
+        monte_carlo_channel(np.eye(64) / 64, ChannelSpec(6, 0.5), 2500, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 410e6
 
 
 def test_monte_carlo_rejects_tiny_sample_count():

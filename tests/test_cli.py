@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from su2drift import serialize, three_qubit
+from su2drift import serialize, three_qubit, verify
 from su2drift.cli import main
 
 
@@ -134,7 +134,26 @@ def test_cli_verify_quick(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_cli_verify_json_report(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code = main(f"verify --quick --report {report}".split())
+    assert code == 0
+    obj = json.loads(report.read_text())
+    assert obj["failed"] == 0
+    assert all("check" in r and "ok" in r for r in obj["results"])
+    quick = [name for name, is_quick, _ in verify.CHECKS if is_quick]
+    assert [r["check"] for r in obj["results"]] == quick
+
+
 def test_cli_seed_zero_is_used_as_given(tmp_path, capsys, monkeypatch):
+    # one stub check stands in for the suite and records the seed it gets
+    seen = []
+
+    def stub(ctx):
+        seen.append(ctx["seed"])
+        return True, "stub"
+
+    monkeypatch.setattr(verify, "CHECKS", [("stub", True, stub)])
     monkeypatch.delenv("SU2DRIFT_SEED", raising=False)
     report = tmp_path / "r.json"
     assert main(f"verify --quick --seed 0 --report {report}".split()) == 0
@@ -142,6 +161,7 @@ def test_cli_seed_zero_is_used_as_given(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SU2DRIFT_SEED", "0")
     assert main(f"verify --quick --report {report}".split()) == 0
     assert json.loads(report.read_text())["seed"] == 0
+    assert seen == [0, 0]
 
 
 def test_cli_sweep_manifest_records_seed_used(tmp_path, capsys, monkeypatch):
@@ -164,15 +184,6 @@ def test_cli_sweep_manifest_records_seed_used(tmp_path, capsys, monkeypatch):
         manifest = json.loads((tmp_path / "ci.manifest.json").read_text())
         assert manifest["seed"] == expect
         assert used == [expect, expect]
-
-
-def test_cli_verify_json_report(tmp_path, capsys):
-    report = tmp_path / "report.json"
-    code = main(f"verify --quick --report {report}".split())
-    assert code == 0
-    obj = json.loads(report.read_text())
-    assert obj["failed"] == 0
-    assert all("check" in r and "ok" in r for r in obj["results"])
 
 
 def test_cli_usage_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -82,9 +82,9 @@ def test_triplet_top_is_all_up():
 def test_coupled_states_collective_rotation_covariance():
     # a collective rotation acts within each (J, path) column space as D^J
     rng = np.random.default_rng(10)
-    u = su2.haar_sample(rng)
+    u = su2.quat_to_matrix(su2.haar_quat(rng))
     n = 3
-    big = np.kron(np.kron(u.matrix, u.matrix), u.matrix)
+    big = np.kron(np.kron(u, u), u)
     for tj in total_j_values(n):
         for path in enumerate_paths(n, H(tj), 1):
             cols = coupled_basis_states(n, H(tj), path)

@@ -32,23 +32,24 @@ def test_quat_mul_matches_matrix_product():
 
 
 def test_su2_element_api():
+    # a group element is a unit quaternion; q times its conjugate is 1
     rng = np.random.default_rng(3)
-    u = su2.haar_sample(rng)
-    v = su2.SU2Element.from_matrix(u.matrix)
-    assert np.allclose(u.matrix, v.matrix, atol=1e-14)
-    assert np.allclose((u @ u.dagger()).matrix, np.eye(2), atol=1e-14)
-    ident = su2.SU2Element.identity()
-    assert su2.class_angle(ident).xi == 0.0
+    q = su2.haar_quat(rng)
+    q_bar = q * np.array([1.0, -1.0, -1.0, -1.0])
+    assert np.allclose(su2.quat_to_matrix(su2.quat_mul(q, q_bar)), np.eye(2), atol=1e-14)
+    assert su2.class_angle_of_quat(np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
 
 
 def test_class_angle_range_and_trace():
     rng = np.random.default_rng(4)
-    u = su2.haar_sample(rng)
-    xi = su2.class_angle(u).xi
+    q = su2.haar_quat(rng)
+    xi = su2.class_angle_of_quat(q)
     assert 0.0 <= xi < 2 * math.pi
-    assert np.trace(u.matrix).real == pytest.approx(2 * math.cos(xi / 2), abs=1e-12)
-    minus_one = su2.SU2Element.from_matrix(-np.eye(2))
-    assert su2.class_angle(minus_one).xi == pytest.approx(2 * math.pi, abs=1e-9)
+    assert np.trace(su2.quat_to_matrix(q)).real == pytest.approx(
+        2 * math.cos(xi / 2), abs=1e-12
+    )
+    minus_one = np.array([-1.0, 0.0, 0.0, 0.0])
+    assert su2.class_angle_of_quat(minus_one) == pytest.approx(2 * math.pi, abs=1e-9)
 
 
 def test_character_values():
@@ -115,7 +116,7 @@ def test_kernel_rejects_tiny_time():
 
 def test_truncation_bound_is_sufficient():
     for t in (1e-3, 0.1, 1.0):
-        jmax = su2.truncation_j_max(t, tol=1e-12)
+        jmax = su2.truncation_j_max(t)
         tail_j = float(jmax) + 0.5
         tail = (2 * tail_j + 1) ** 2 * math.exp(-tail_j * (tail_j + 1) * t / 2)
         assert tail < 1e-10
@@ -161,22 +162,23 @@ def test_sampling_deterministic_for_seed():
 
 def test_wigner_d_fundamental_and_homomorphism():
     rng = np.random.default_rng(8)
-    u = su2.haar_sample(rng)
-    v = su2.haar_sample(rng)
-    assert np.allclose(su2.wigner_d(H(1), u), u.matrix, atol=1e-13)
+    q, p = su2.haar_quat(rng), su2.haar_quat(rng)
+    u, v = su2.quat_to_matrix(q), su2.quat_to_matrix(p)
+    uv = su2.quat_to_matrix(su2.quat_mul(q, p))
+    assert np.allclose(su2.wigner_d(H(1), u), u, atol=1e-13)
     for tj in (2, 3, 4):
         du = su2.wigner_d(H(tj), u)
         dv = su2.wigner_d(H(tj), v)
-        duv = su2.wigner_d(H(tj), u @ v)
+        duv = su2.wigner_d(H(tj), uv)
         assert np.allclose(du @ dv, duv, atol=1e-12)
         assert np.allclose(du @ du.conj().T, np.eye(tj + 1), atol=1e-12)
 
 
 def test_wigner_d_character_consistency():
     rng = np.random.default_rng(9)
-    u = su2.haar_sample(rng)
-    xi = su2.class_angle(u).xi
+    q = su2.haar_quat(rng)
+    xi = su2.class_angle_of_quat(q)
     for tj in (1, 2, 5):
-        tr = np.trace(su2.wigner_d(H(tj), u))
+        tr = np.trace(su2.wigner_d(H(tj), su2.quat_to_matrix(q)))
         assert tr.real == pytest.approx(su2.character(H(tj), xi), abs=1e-11)
         assert abs(tr.imag) < 1e-11

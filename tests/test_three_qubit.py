@@ -216,7 +216,7 @@ def test_coherent_info_weak_diffusion_band():
 
 
 def test_coherent_info_threshold_band():
-    thr = tq.coherent_info_threshold(tol=1e-3)
+    thr = tq.coherent_info_threshold()
     assert 0.265 <= thr <= 0.285
 
 
@@ -290,3 +290,13 @@ def test_weak_diffusion_curves_shape():
         assert tq.q_weak(t) >= 1 / 3
     eps = [tq.epsilon_weak(t) for t in ts]
     assert eps == sorted(eps)
+
+
+@pytest.mark.parametrize("t", [1e-4, 1e-3])
+def test_weak_diffusion_expansions_match_optimizers(t):
+    # capacity_weak and coherent_info_weak agree with the optimizers to the
+    # order of the first neglected term, t^2 ln^2 t
+    tol = (t * math.log(t)) ** 2
+    capacity = tq.maximize_holevo(t, general_search=False).capacity
+    assert abs(tq.capacity_weak(t) - capacity) < tol
+    assert abs(tq.coherent_info_weak(t) - tq.maximize_coherent_info(t).value) < tol
