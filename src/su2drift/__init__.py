@@ -2,7 +2,8 @@
 
 Modules
 -------
-halfint     half-integer spin labels
+halfint     the twice-j label check: every spin label j is passed as the
+            integer 2j, so j = 1/2 is 1 and j = 1 is 2
 wigner      Clebsch-Gordan, 6j, and recoupling coefficients
 su2         group elements as (..., 4) unit-quaternion arrays, Haar and
             heat-kernel sampling, characters, irrep matrices
@@ -15,7 +16,6 @@ serialize   JSON import/export for density matrices
 verify      named self-check suite
 """
 
-from .halfint import HalfInteger, twice
 from .wigner import clebsch_gordan, recoupling_u, wigner_6j
 from .su2 import UnsupportedRegimeError, character, heat_kernel_density, wigner_d
 from .coupling import (

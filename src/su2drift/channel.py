@@ -21,13 +21,16 @@ from functools import lru_cache
 import numpy as np
 
 from . import coupling, numerics, su2
-from .halfint import HalfInteger
+from .halfint import twice_labels
 from .wigner import _sixj_t, triangle_ok
 
 #: Samples drawn and accumulated per chunk by monte_carlo_channel up to
 #: N = 4; each further qubit divides the chunk by 4, which keeps every
 #: (chunk, 2^N, 2^N) complex array at 82 MB.
 MC_CHUNK = 20000
+#: Added to each standard error in max_deviation_sigma, so an entry with
+#: zero sample variance does not divide by zero.
+STDERR_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,14 +64,15 @@ def _r_coefficient_t(tJ_out, tj1p, tj2p, tJ_in, tj1, tj2, t: float) -> float:
     return sign * (tJ_out + 1) * total
 
 
-def r_coefficient(J_out, j1p, j2p, J_in, j1, j2, t) -> float:
-    """Transfer amplitude R(t) redistributing block-J weight under a step.
+def r_coefficient(tJ_out, tj1p, tj2p, tJ_in, tj1, tj2, t) -> float:
+    """Transfer amplitude R(t) redistributing block-J weight under a step,
+    from twice-j labels and a finite, non-negative time t.
 
     Finite character-weighted 6j sum over j in [|j2-j2'|, j2+j2'];
     triangle violations yield 0.
     """
-    args = tuple(HalfInteger.of(x).twice for x in (J_out, j1p, j2p, J_in, j1, j2))
-    return _r_coefficient_t(*args, float(t))
+    labels = twice_labels(tJ_out, tj1p, tj2p, tJ_in, tj1, tj2)
+    return _r_coefficient_t(*labels, numerics.validate_time(t))
 
 
 def apply_diffusion_step(blocks: np.ndarray, N: int, i: int, t: float) -> np.ndarray:
@@ -155,10 +159,10 @@ class MonteCarloResult:
     stderr_im: np.ndarray
     samples: int
 
-    def max_deviation_sigma(self, reference: np.ndarray, floor: float = 1e-9) -> float:
+    def max_deviation_sigma(self, reference: np.ndarray) -> float:
         """Largest entrywise |mean - reference| in units of standard error."""
-        dev_re = np.abs(self.mean.real - reference.real) / (self.stderr_re + floor)
-        dev_im = np.abs(self.mean.imag - reference.imag) / (self.stderr_im + floor)
+        dev_re = np.abs(self.mean.real - reference.real) / (self.stderr_re + STDERR_FLOOR)
+        dev_im = np.abs(self.mean.imag - reference.imag) / (self.stderr_im + STDERR_FLOOR)
         return float(max(dev_re.max(), dev_im.max()))
 
 

@@ -21,7 +21,6 @@ import sys
 import numpy as np
 
 from . import __version__, channel, numerics, serialize, su2, three_qubit, verify
-from .halfint import HalfInteger
 from .wigner import clebsch_gordan, recoupling_u, selection_ok_cg, wigner_6j
 
 FMT = "%.17g"
@@ -49,10 +48,6 @@ def _write_manifest(csv_path: str, args_ns, seed, extra=None):
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
     return path
-
-
-def _tj(value: str) -> HalfInteger:
-    return HalfInteger(int(value))
 
 
 # ---- wigner ---------------------------------------------------------------
@@ -225,15 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     ws = w.add_subparsers(dest="coef", required=True)
     cg = ws.add_parser("cg", help="Clebsch-Gordan <j1 m1 j2 m2|j m>")
     for name in ("tj1", "tm1", "tj2", "tm2", "tj", "tm"):
-        cg.add_argument(f"--{name}", type=_tj, required=True,
+        cg.add_argument(f"--{name}", type=int, required=True,
                         help=f"twice the value of {name[1:]}")
     sj = ws.add_parser("sixj", help="Wigner 6j symbol")
     for name in ("tj1", "tj2", "tj3", "tj4", "tj5", "tj6"):
-        sj.add_argument(f"--{name}", type=_tj, required=True,
+        sj.add_argument(f"--{name}", type=int, required=True,
                         help=f"twice the value of {name[1:]}")
     uu = ws.add_parser("u", help="unitary recoupling coefficient U")
     for name in ("tj1", "tj2", "tj", "tj3", "tj12", "tj23"):
-        uu.add_argument(f"--{name}", type=_tj, required=True,
+        uu.add_argument(f"--{name}", type=int, required=True,
                         help=f"twice the value of {name[1:]}")
     w.set_defaults(func=cmd_wigner)
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .halfint import HalfInteger
+from .halfint import projection_valid, twice_labels
 from .numerics import validate_n
 from .wigner import clebsch_gordan, recoupling_u, triangle_ok
 
@@ -93,18 +93,19 @@ def _all_paths(N: int, k: int) -> list:
     )
 
 
-def enumerate_paths(N: int, J, k: int) -> list:
-    """All convention-k paths for N spins terminating at total momentum J."""
+def enumerate_paths(N: int, tJ, k: int) -> list:
+    """All convention-k paths for N spins terminating at total momentum
+    J = tJ/2."""
     validate_n(N, "paths")
     if not 1 <= k <= N - 1:
         raise ValueError(f"k={k} out of range [1, {N - 1}]")
-    tJ = HalfInteger.of(J).twice
+    (tJ,) = twice_labels(tJ)
     return [p for p in _all_paths(N, k) if triangle_ok(p.t_left, p.t_right, tJ)]
 
 
-def multiplicity(N: int, J) -> int:
-    """Dimension d_J of the multiplicity space (number of paths)."""
-    tJ = HalfInteger.of(J).twice
+def multiplicity(N: int, tJ) -> int:
+    """Dimension d_J of the multiplicity space (number of paths), J = tJ/2."""
+    (tJ,) = twice_labels(tJ)
     if (N - tJ) % 2 or tJ > N or tJ < 0:
         return 0
     lo = (N - tJ) // 2
@@ -128,10 +129,7 @@ def _cg_matrix(ta: int, tb: int, tc: int) -> np.ndarray:
     pairs = itertools.product(range(ta, -ta - 1, -2), range(tb, -tb - 1, -2))
     for row, (tma, tmb) in enumerate(pairs):
         if abs(tma + tmb) <= tc:
-            out[row, (tc - tma - tmb) // 2] = clebsch_gordan(
-                HalfInteger(ta), HalfInteger(tma), HalfInteger(tb), HalfInteger(tmb),
-                HalfInteger(tc), HalfInteger(tma + tmb),
-            )
+            out[row, (tc - tma - tmb) // 2] = clebsch_gordan(ta, tma, tb, tmb, tc, tma + tmb)
     out.setflags(write=False)
     return out
 
@@ -154,13 +152,14 @@ def _block_states(seq: tuple, new_first: bool) -> np.ndarray:
     return mat
 
 
-def coupled_basis_states(N: int, J, path: CouplingPath) -> np.ndarray:
-    """Matrix whose columns are |J, M, path> for M = J, J-1, ..., -J."""
+def coupled_basis_states(N: int, tJ, path: CouplingPath) -> np.ndarray:
+    """Matrix whose columns are |J, M, path> for M = J, J-1, ..., -J,
+    J = tJ/2."""
+    (tJ,) = twice_labels(tJ)
     path.validate()
     if path.n != N:
         raise ValueError("path length does not match N")
     validate_n(N, "basis")
-    tJ = HalfInteger.of(J).twice
     if not triangle_ok(path.t_left, path.t_right, tJ):
         raise ValueError("path blocks cannot couple to the requested J")
     # Right block is built by adding spins N, N-1, ... with the new spin as
@@ -171,13 +170,12 @@ def coupled_basis_states(N: int, J, path: CouplingPath) -> np.ndarray:
     return cols.astype(complex)
 
 
-def coupled_basis_vector(N: int, J, M, path: CouplingPath) -> np.ndarray:
-    """The state |J, M, path> as a dense 2^N vector."""
-    tJ = HalfInteger.of(J).twice
-    tM = HalfInteger.of(M).twice
-    if abs(tM) > tJ or (tJ - tM) % 2:
+def coupled_basis_vector(N: int, tJ, tM, path: CouplingPath) -> np.ndarray:
+    """The state |J, M, path> as a dense 2^N vector, J = tJ/2, M = tM/2."""
+    tJ, tM = twice_labels(tJ, tM)
+    if not projection_valid(tJ, tM):
         raise ValueError("invalid projection M for J")
-    cols = coupled_basis_states(N, J, path)
+    cols = coupled_basis_states(N, tJ, path)
     return cols[:, (tJ - tM) // 2]
 
 
@@ -190,8 +188,8 @@ def basis_matrix(N: int, k: int) -> np.ndarray:
     """
     cols = []
     for tJ in total_j_values(N):
-        for path in enumerate_paths(N, HalfInteger(tJ), k):
-            cols.append(coupled_basis_states(N, HalfInteger(tJ), path))
+        for path in enumerate_paths(N, tJ, k):
+            cols.append(coupled_basis_states(N, tJ, path))
     return np.concatenate(cols, axis=1)
 
 
@@ -247,7 +245,6 @@ def _raised_paths(path: CouplingPath, tJ: int) -> list:
     The sum runs over the new left entry j_{1..k+1}; the coefficient is
     U(j_{1..k}, 1/2, J, j_{k+2..N}; j_{1..k+1}, j_{k+1..N}).
     """
-    half = HalfInteger(1)
     t_prev = path.t_left  # j_{1..k}
     t_low = path.right[0]  # j_{k+1..N}
     t_next = path.right[1]  # j_{k+2..N}
@@ -255,10 +252,7 @@ def _raised_paths(path: CouplingPath, tJ: int) -> list:
     for t_new in (t_prev - 1, t_prev + 1):
         if t_new < 0 or not triangle_ok(t_new, t_next, tJ):
             continue
-        coeff = recoupling_u(
-            HalfInteger(t_prev), half, HalfInteger(tJ), HalfInteger(t_next),
-            HalfInteger(t_new), HalfInteger(t_low),
-        )
+        coeff = recoupling_u(t_prev, 1, tJ, t_next, t_new, t_low)
         if coeff != 0.0:
             out.append((CouplingPath(path.k + 1, path.left + (t_new,), path.right[1:]), coeff))
     return out

@@ -1,65 +1,20 @@
-"""Half-integer angular momentum values stored as twice-j integers."""
+"""Angular-momentum labels as twice-j integers: j = 1/2 is 1, j = 1 is 2.
+
+twice_labels is the one check at the public boundary; the core takes the
+plain ints it returns.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
 
 
-@dataclass(frozen=True, order=True)
-class HalfInteger:
-    """An angular momentum j (or projection m) stored exactly as 2j."""
-
-    twice: int
-
-    @classmethod
-    def of(cls, value) -> "HalfInteger":
-        """Coerce a number (integer or half-odd-integer) or HalfInteger."""
-        if isinstance(value, HalfInteger):
-            return value
-        twice = 2 * value
-        rounded = round(twice)
-        if abs(twice - rounded) > 1e-9:
-            raise ValueError(f"{value!r} is not a multiple of 1/2")
-        return cls(int(rounded))
-
-    @property
-    def value(self) -> float:
-        return self.twice / 2
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __add__(self, other):
-        return HalfInteger(self.twice + HalfInteger.of(other).twice)
-
-    def __sub__(self, other):
-        return HalfInteger(self.twice - HalfInteger.of(other).twice)
-
-    def __neg__(self):
-        return HalfInteger(-self.twice)
-
-    def __abs__(self):
-        return HalfInteger(abs(self.twice))
-
-    def __float__(self):
-        return self.twice / 2
-
-    def __repr__(self):
-        if self.twice % 2 == 0:
-            return f"HalfInteger({self.twice // 2})"
-        return f"HalfInteger({self.twice}/2)"
-
-
-def twice(j) -> int:
-    """Twice-j integer of a HalfInteger or numeric angular momentum."""
-    if isinstance(j, HalfInteger):
-        return j.twice
-    t = 2 * j
-    rounded = round(t)
-    if abs(t - rounded) > 1e-9:
-        raise ValueError(f"{j!r} is not a multiple of 1/2")
-    return int(rounded)
+def twice_labels(*values) -> tuple:
+    """The labels as ints, once each is checked to be a twice-j integer."""
+    for v in values:
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+            raise ValueError(f"angular-momentum labels are twice-j integers, got {v!r}")
+    return tuple(int(v) for v in values)
 
 
 def projection_valid(tj: int, tm: int) -> bool:

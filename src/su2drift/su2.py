@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import eval_chebyu
 
 from . import numerics
-from .halfint import HalfInteger, twice
+from .halfint import twice_labels
 
 TWO_PI = 2.0 * math.pi
 #: Largest representable class angle below 2*pi (Tr U = -2 representative).
@@ -74,24 +74,28 @@ def class_angle_of_quat(q: np.ndarray) -> np.ndarray:
     return np.minimum(xi, XI_MAX)
 
 
-def character(j, xi) -> float:
-    """Character of the irrep j at class angle xi: sin((j+1/2)xi)/sin(xi/2).
+def character(tj, xi) -> float:
+    """Character of the irrep j = tj/2 at class angle xi:
+    sin((j+1/2)xi)/sin(xi/2).
 
     Evaluated as the Chebyshev polynomial U_{2j}(cos(xi/2)), which handles
     the removable singularities at xi = 0 and xi = 2*pi exactly.
     """
-    return eval_chebyu(twice(j), np.cos(np.asarray(xi) / 2.0))
+    (tj,) = twice_labels(tj)
+    return eval_chebyu(tj, np.cos(np.asarray(xi) / 2.0))
 
 
-def heat_coefficient(j, t) -> float:
-    """Character-expansion coefficient exp(-j(j+1)t/2) of the density."""
-    jv = twice(j) / 2.0
+def heat_coefficient(tj, t) -> float:
+    """Character-expansion coefficient exp(-j(j+1)t/2) of the density,
+    j = tj/2."""
+    (tj,) = twice_labels(tj)
+    jv = tj / 2.0
     return math.exp(-0.5 * jv * (jv + 1.0) * float(t))
 
 
-def truncation_j_max(t: float) -> HalfInteger:
-    """Smallest j whose geometric tail bound on the character sum is below
-    TRUNCATION_TOL."""
+def truncation_tj_max(t: float) -> int:
+    """Smallest twice-j whose geometric tail bound on the character sum is
+    below TRUNCATION_TOL."""
     t = numerics.validate_time(t)
     if t == 0:
         raise ValueError("the character sum has no finite truncation at t = 0")
@@ -104,20 +108,23 @@ def truncation_j_max(t: float) -> HalfInteger:
             / (1.0 - math.exp(-(j + 2) * t))
         )
         if tail < TRUNCATION_TOL:
-            return HalfInteger(tj)
+            return tj
         tj += 1
 
 
 def heat_kernel_density(t, xi):
-    """Diffusion density p_t at class angle xi, relative to Haar measure."""
+    """Diffusion density p_t at a finite class angle xi, relative to Haar
+    measure."""
     t = numerics.validate_time(t)
     if t < T_MIN:
         raise UnsupportedRegimeError(f"t={t} below supported minimum {T_MIN}")
-    x = np.cos(np.asarray(xi, dtype=float) / 2.0)
-    tj_max = truncation_j_max(t).twice
+    xi = np.asarray(xi, dtype=float)
+    if not np.isfinite(xi).all():
+        raise ValueError("class angle must be finite")
+    x = np.cos(xi / 2.0)
     total = np.zeros_like(x)
-    for tj in range(tj_max, -1, -1):
-        total += (tj + 1) * heat_coefficient(HalfInteger(tj), t) * eval_chebyu(tj, x)
+    for tj in range(truncation_tj_max(t), -1, -1):
+        total += (tj + 1) * heat_coefficient(tj, t) * eval_chebyu(tj, x)
     return total if total.ndim else float(total)
 
 
@@ -182,17 +189,17 @@ def _symmetric_isometry(n: int) -> np.ndarray:
     return iso
 
 
-def wigner_d(j, u: np.ndarray) -> np.ndarray:
-    """Irrep matrix D^j(U) of a 2x2 SU(2) matrix U, from the symmetrized
-    tensor power of U.
+def wigner_d(tj, u: np.ndarray) -> np.ndarray:
+    """Irrep matrix D^j(U), j = tj/2, of a 2x2 SU(2) matrix U, from the
+    symmetrized tensor power of U.
 
     Rows/columns ordered by m = j, ..., -j.  Capped at
-    2j <= WIGNER_D_TJ_MAX to keep the 2^(2j)-dimensional construction at
+    tj <= WIGNER_D_TJ_MAX to keep the 2^tj-dimensional construction at
     desk scale.
     """
-    tj = twice(j)
-    if tj > WIGNER_D_TJ_MAX:
-        raise ValueError(f"j={tj / 2} exceeds cap {WIGNER_D_TJ_MAX / 2}")
+    (tj,) = twice_labels(tj)
+    if not 0 <= tj <= WIGNER_D_TJ_MAX:
+        raise ValueError(f"twice-j {tj} outside [0, {WIGNER_D_TJ_MAX}]")
     if tj == 0:
         return np.ones((1, 1), dtype=complex)
     mat = np.asarray(u, dtype=complex)

@@ -16,7 +16,6 @@ import numpy as np
 from scipy import stats
 
 from . import channel, coupling, numerics, su2, three_qubit, wigner
-from .halfint import HalfInteger
 
 _TJ_RANGE = range(0, 7)  # twice-j values 0 .. 3
 
@@ -49,7 +48,7 @@ def check_cg_orthogonality(ctx):
         mat = np.array(
             [
                 [
-                    cg(*(HalfInteger(x) for x in (tj1, tm1, tj2, tm2, tJ, tM)))
+                    cg(tj1, tm1, tj2, tm2, tJ, tM)
                     for (tJ, tM) in labels_jm
                 ]
                 for (tm1, tm2) in labels_m
@@ -127,9 +126,7 @@ def check_recoupling_unitarity(ctx):
         mat = np.array(
             [
                 [
-                    wigner.recoupling_u(
-                        *(HalfInteger(x) for x in (t1, t2, tJ, t3, t12, t23))
-                    )
+                    wigner.recoupling_u(t1, t2, tJ, t3, t12, t23)
                     for t23 in t23s
                 ]
                 for t12 in t12s
@@ -153,9 +150,8 @@ def check_kernel_normalization(ctx):
 def check_coefficient_semigroup(ctx):
     worst = 0.0
     for tj, (s, t) in itertools.product(range(0, 13), ((0.7, 1.6), (0.5, 0.5))):
-        j = HalfInteger(tj)
-        lhs = su2.heat_coefficient(j, s) * su2.heat_coefficient(j, t)
-        worst = max(worst, abs(lhs - su2.heat_coefficient(j, s + t)))
+        lhs = su2.heat_coefficient(tj, s) * su2.heat_coefficient(tj, t)
+        worst = max(worst, abs(lhs - su2.heat_coefficient(tj, s + t)))
     return worst < 1e-15, f"max defect {worst:.2e}"
 
 
@@ -171,7 +167,7 @@ def check_multiplicity_sum(ctx):
     n_max = numerics.N_CAPS["paths"]
     for n in range(1, n_max + 1):
         total = sum(
-            (tj + 1) * coupling.multiplicity(n, HalfInteger(tj))
+            (tj + 1) * coupling.multiplicity(n, tj)
             for tj in coupling.total_j_values(n)
         )
         if total != 2**n:
@@ -289,8 +285,8 @@ def check_ii_commutation(ctx):
 
 def check_werner_shrink(ctx):
     worst = 0.0
-    singlet = coupling.enumerate_paths(2, HalfInteger(0), 1)[0]
-    psi = coupling.coupled_basis_vector(2, HalfInteger(0), HalfInteger(0), singlet)
+    singlet = coupling.enumerate_paths(2, 0, 1)[0]
+    psi = coupling.coupled_basis_vector(2, 0, 0, singlet)
     proj = np.outer(psi, psi.conj())
     for t in (0.1, 0.5, 2.0):
         for p0 in (0.0, 0.2, 0.25, 0.3, 0.6, 0.7, 1.0):

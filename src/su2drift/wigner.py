@@ -1,9 +1,10 @@
 """Clebsch-Gordan, Wigner 6j and three-spin recoupling coefficients.
 
-All coefficients use the Condon-Shortley phase convention and are evaluated
-in double precision through Racah's single-sum formulas with a precomputed
-log-factorial table and compensated summation.  Selection-rule violations
-return 0.0 rather than raising, so callers may sum freely over index ranges.
+Every label is a twice-j integer (j = 1/2 is 1).  All coefficients use the
+Condon-Shortley phase convention and are evaluated in double precision
+through Racah's single-sum formulas with a precomputed log-factorial table
+and compensated summation.  Selection-rule violations return 0.0 rather
+than raising, so callers may sum freely over index ranges.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .halfint import HalfInteger, projection_valid, twice
+from .halfint import projection_valid, twice_labels
 
 # Covers every factorial argument appearing in Racah sums up to N = 16
 # spins (arguments bounded by 4*N + 4).
@@ -47,9 +48,9 @@ def _delta_log(ta: int, tb: int, tc: int) -> float:
     )
 
 
-def selection_ok_cg(j1, m1, j2, m2, J, M) -> bool:
+def selection_ok_cg(tj1, tm1, tj2, tm2, tJ, tM) -> bool:
     """True when the Clebsch-Gordan selection rules allow a nonzero value."""
-    tj1, tm1, tj2, tm2, tJ, tM = (twice(x) for x in (j1, m1, j2, m2, J, M))
+    tj1, tm1, tj2, tm2, tJ, tM = twice_labels(tj1, tm1, tj2, tm2, tJ, tM)
     return (
         projection_valid(tj1, tm1)
         and projection_valid(tj2, tm2)
@@ -59,9 +60,10 @@ def selection_ok_cg(j1, m1, j2, m2, J, M) -> bool:
     )
 
 
-def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
-    """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention."""
-    tj1, tm1, tj2, tm2, tJ, tM = (twice(x) for x in (j1, m1, j2, m2, J, M))
+def clebsch_gordan(tj1, tm1, tj2, tm2, tJ, tM) -> float:
+    """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention, from twice-j
+    labels."""
+    tj1, tm1, tj2, tm2, tJ, tM = twice_labels(tj1, tm1, tj2, tm2, tJ, tM)
     if not (
         projection_valid(tj1, tm1)
         and projection_valid(tj2, tm2)
@@ -102,9 +104,9 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     return math.fsum(terms)
 
 
-def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
-    """Wigner 6j symbol {j1 j2 j3; j4 j5 j6}; 0 on any triad violation."""
-    t1, t2, t3, t4, t5, t6 = (twice(x) for x in (j1, j2, j3, j4, j5, j6))
+@lru_cache(maxsize=1 << 16)
+def _sixj_t(t1: int, t2: int, t3: int, t4: int, t5: int, t6: int) -> float:
+    """6j symbol of unchecked twice-j ints; 0 on any triad violation."""
     triads = ((t1, t2, t3), (t1, t5, t6), (t4, t2, t6), (t4, t5, t3))
     if not all(triangle_ok(*tr) for tr in triads):
         return 0.0
@@ -135,18 +137,20 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
     return math.fsum(terms)
 
 
-@lru_cache(maxsize=1 << 16)
-def _sixj_t(t1: int, t2: int, t3: int, t4: int, t5: int, t6: int) -> float:
-    return wigner_6j(*(HalfInteger(t) for t in (t1, t2, t3, t4, t5, t6)))
+def wigner_6j(tj1, tj2, tj3, tj4, tj5, tj6) -> float:
+    """Wigner 6j symbol {j1 j2 j3; j4 j5 j6} of twice-j labels; 0 on any
+    triad violation."""
+    return _sixj_t(*twice_labels(tj1, tj2, tj3, tj4, tj5, tj6))
 
 
-def recoupling_u(j1, j2, J, j3, j12, j23) -> float:
-    """U(j1,j2,J,j3;j12,j23) mapping (j1,(j2 j3)j23)J to ((j1 j2)j12,j3)J.
+def recoupling_u(tj1, tj2, tJ, tj3, tj12, tj23) -> float:
+    """U(j1,j2,J,j3;j12,j23) mapping (j1,(j2 j3)j23)J to ((j1 j2)j12,j3)J,
+    from twice-j labels.
 
     Equals sqrt((2j12+1)(2j23+1)) (-1)^(j1+j2+J+j3) {j1 j2 j12; j3 J j23};
     the exponent is an integer whenever the triads are valid.
     """
-    t1, t2, tJ, t3, t12, t23 = (twice(x) for x in (j1, j2, J, j3, j12, j23))
+    t1, t2, tJ, t3, t12, t23 = twice_labels(tj1, tj2, tJ, tj3, tj12, tj23)
     if not (
         triangle_ok(t1, t2, t12)
         and triangle_ok(t12, t3, tJ)
@@ -159,27 +163,3 @@ def recoupling_u(j1, j2, J, j3, j12, j23) -> float:
     sign = -1.0 if (phase_twice // 2) % 2 else 1.0
     return math.sqrt((t12 + 1) * (t23 + 1)) * sign * sixj
 
-
-def u_jk(J, k: int, j_first, j_last, N: int, j_prev=None, j_next=None) -> float:
-    """Recoupling shorthand U(J,k) for N spins 1/2.
-
-    j_first = j_{1..k}, j_last = j_{k..N}; j_prev = j_{1..k-1} and
-    j_next = j_{k+1..N} are required context unless k = 2 (j_prev = 1/2)
-    or k = N-1 (j_next = 1/2), where the single-spin value is implied.
-    """
-    if not 1 <= k <= N - 1:
-        raise ValueError(f"k={k} out of range for N={N}")
-    half = HalfInteger(1)
-    if j_prev is None:
-        if k == 2:
-            j_prev = half
-        elif k == 1:
-            j_prev = HalfInteger(0)
-        else:
-            raise ValueError("j_prev (j_{1..k-1}) required for k > 2")
-    if j_next is None:
-        if k == N - 1:
-            j_next = half
-        else:
-            raise ValueError("j_next (j_{k+1..N}) required for k < N-1")
-    return recoupling_u(j_prev, half, J, j_next, j_first, j_last)

@@ -13,12 +13,9 @@ from sympy.physics.quantum.cg import CG
 from sympy.physics.wigner import wigner_6j as sympy_6j
 
 from su2drift import channel, numerics, three_qubit as tq, verify
-from su2drift.halfint import HalfInteger
 from su2drift.wigner import clebsch_gordan, wigner_6j
 
 from conftest import VERIFY_SEED, record_criterion
-
-H = HalfInteger
 
 
 def _random_density(rng, dim):
@@ -44,10 +41,10 @@ def test_criterion_1_algebra_gates():
 def test_criterion_1b_symbolic_oracle_spot_checks():
     """Frozen spot values from an independent symbolic evaluation."""
     # <1 1 1/2 -1/2 | 1/2 1/2> and {1/2 1/2 1; 1/2 1/2 1}
-    got_cg = clebsch_gordan(H(2), H(2), H(1), H(-1), H(1), H(1))
+    got_cg = clebsch_gordan(2, 2, 1, -1, 1, 1)
     ref_cg = float(CG(1, 1, Rational(1, 2), Rational(-1, 2),
                       Rational(1, 2), Rational(1, 2)).doit())
-    got_6j = wigner_6j(H(1), H(1), H(2), H(1), H(1), H(2))
+    got_6j = wigner_6j(1, 1, 2, 1, 1, 2)
     ref_6j = float(sympy_6j(Rational(1, 2), Rational(1, 2), 1,
                             Rational(1, 2), Rational(1, 2), 1))
     ok = abs(got_cg - ref_cg) < 1e-13 and abs(got_6j - ref_6j) < 1e-13

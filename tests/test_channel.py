@@ -14,9 +14,6 @@ from su2drift.channel import (
     monte_carlo_channel,
     r_coefficient,
 )
-from su2drift.halfint import HalfInteger
-
-H = HalfInteger
 
 
 def _random_density(rng, dim):
@@ -54,18 +51,24 @@ def test_channel_apply_rejects_non_density():
 
 def test_r_coefficient_identity_at_t0():
     # at t = 0 the step is the identity: R = delta_{J_out, J_in}
-    for args in [(H(0), H(1), H(1), H(0), H(1), H(1)),
-                 (H(2), H(1), H(1), H(2), H(1), H(1)),
-                 (H(1), H(1), H(2), H(1), H(1), H(2)),
-                 (H(3), H(1), H(2), H(3), H(1), H(2))]:
+    for args in [(0, 1, 1, 0, 1, 1),
+                 (2, 1, 1, 2, 1, 1),
+                 (1, 1, 2, 1, 1, 2),
+                 (3, 1, 2, 3, 1, 2)]:
         assert r_coefficient(*args, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert r_coefficient(H(2), H(1), H(1), H(0), H(1), H(1), 0.0) == pytest.approx(
+    assert r_coefficient(2, 1, 1, 0, 1, 1, 0.0) == pytest.approx(
         0.0, abs=1e-12
     )
 
 
 def test_r_coefficient_triangle_violation():
-    assert r_coefficient(H(4), H(1), H(1), H(0), H(1), H(1), 0.5) == 0.0
+    assert r_coefficient(4, 1, 1, 0, 1, 1, 0.5) == 0.0
+
+
+def test_r_coefficient_rejects_bad_time():
+    for t in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError):
+            r_coefficient(2, 1, 1, 0, 1, 1, t)
 
 
 def test_r_coefficient_row_normalization():
@@ -73,7 +76,7 @@ def test_r_coefficient_row_normalization():
     for (tj1, tj2, tJ_in) in [(1, 1, 0), (1, 1, 2), (1, 2, 1), (1, 2, 3), (2, 2, 2)]:
         for t in (0.0, 0.3, 2.0):
             total = sum(
-                r_coefficient(H(tJ), H(tj1), H(tj2), H(tJ_in), H(tj1), H(tj2), t)
+                r_coefficient(tJ, tj1, tj2, tJ_in, tj1, tj2, t)
                 for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
             )
             assert total == pytest.approx(1.0, abs=1e-12)
@@ -83,16 +86,16 @@ def test_two_qubit_exact_weights():
     # single step on 2 qubits: singlet weight mixes with triplet via e^{-t}
     t = 0.8
     e = math.exp(-t)
-    assert r_coefficient(H(0), H(1), H(1), H(0), H(1), H(1), t) == pytest.approx(
+    assert r_coefficient(0, 1, 1, 0, 1, 1, t) == pytest.approx(
         (1 + 3 * e) / 4, abs=1e-12
     )
-    assert r_coefficient(H(2), H(1), H(1), H(0), H(1), H(1), t) == pytest.approx(
+    assert r_coefficient(2, 1, 1, 0, 1, 1, t) == pytest.approx(
         3 * (1 - e) / 4, abs=1e-12
     )
-    assert r_coefficient(H(0), H(1), H(1), H(2), H(1), H(1), t) == pytest.approx(
+    assert r_coefficient(0, 1, 1, 2, 1, 1, t) == pytest.approx(
         (1 - e) / 4, abs=1e-12
     )
-    assert r_coefficient(H(2), H(1), H(1), H(2), H(1), H(1), t) == pytest.approx(
+    assert r_coefficient(2, 1, 1, 2, 1, 1, t) == pytest.approx(
         (3 + e) / 4, abs=1e-12
     )
 
@@ -124,7 +127,7 @@ def test_channel_late_time_limit():
     out = channel_apply(rho, ChannelSpec(n, 60.0))
     weights = np.einsum("jaa->j", coupling._twirl_linear(out, n)).real
     # fully decorrelated rotations depolarize every qubit: weights of I/2^N
-    expect = [(tj + 1) * coupling.multiplicity(n, H(tj)) / 2**n
+    expect = [(tj + 1) * coupling.multiplicity(n, tj) / 2**n
               for tj in coupling.total_j_values(n)]
     assert weights == pytest.approx(expect, abs=1e-8)
 

@@ -196,7 +196,8 @@ def test_cli_usage_error_exit_code(tmp_path, capsys, monkeypatch):
     serialize.save_density(str(src), np.ones((4, 4)))
     assert main(f"channel apply --n 2 --t 0.5 --in {src} --out {dst}".split()) == 2
     assert not dst.exists()
-    # a non-finite or negative diffusion time is a usage error everywhere
+    # a non-finite or negative diffusion time, or optimizer tolerance, is a
+    # usage error everywhere
     sweep = f"three sweep --quantity avg-fidelity --out {tmp_path / 'sweep.csv'}"
     for bad in ("nan", "inf", "-0.5"):
         assert main(["kernel", "eval", "--t", bad, "--xi", "1"]) == 2
@@ -205,9 +206,13 @@ def test_cli_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         assert main(["three", "fidelity", "--t", bad]) == 2
         assert main(sweep.split() + ["--t-from", bad, "--t-to", "1"]) == 2
         assert main(sweep.split() + ["--t-from", "0", "--t-to", bad]) == 2
+        assert main(sweep.split() + ["--t-from", "0", "--t-to", "1", "--opt-tol", bad]) == 2
         assert main(["channel", "mc-check", "--n", "2", "--t", bad]) == 2
         assert main(["channel", "choi", "--n", "2", "--t", bad,
                      "--out", str(dst)]) == 2
+    # so is a non-finite class angle
+    for bad in ("nan", "inf"):
+        assert main(["kernel", "eval", "--t", "0.5", "--xi", bad]) == 2
     assert not dst.exists()
     assert not (tmp_path / "sweep.csv").exists()
     assert not (tmp_path / "k.csv").exists()

@@ -19,9 +19,6 @@ from su2drift.coupling import (
     raise_convention,
     total_j_values,
 )
-from su2drift.halfint import HalfInteger
-
-H = HalfInteger
 
 
 def _random_density(rng, dim):
@@ -37,19 +34,19 @@ def test_total_j_values():
 
 
 def test_multiplicity_formula():
-    assert multiplicity(2, H(0)) == 1
-    assert multiplicity(3, H(1)) == 2
-    assert multiplicity(4, H(0)) == 2
-    assert multiplicity(4, H(2)) == 3
-    assert multiplicity(8, H(0)) == 14
+    assert multiplicity(2, 0) == 1
+    assert multiplicity(3, 1) == 2
+    assert multiplicity(4, 0) == 2
+    assert multiplicity(4, 2) == 3
+    assert multiplicity(8, 0) == 14
 
 
 def test_enumerate_paths_counts_and_order():
     for n in (3, 4, 5, 6):
         for tj in total_j_values(n):
             for k in range(1, n):
-                paths = enumerate_paths(n, H(tj), k)
-                assert len(paths) == multiplicity(n, H(tj))
+                paths = enumerate_paths(n, tj, k)
+                assert len(paths) == multiplicity(n, tj)
                 assert paths == sorted(paths)
                 for p in paths:
                     p.validate()
@@ -64,16 +61,16 @@ def test_path_validation_rejects_bad_steps():
 
 
 def test_singlet_vector():
-    path = enumerate_paths(2, H(0), 1)[0]
-    v = coupled_basis_vector(2, H(0), H(0), path)
+    path = enumerate_paths(2, 0, 1)[0]
+    v = coupled_basis_vector(2, 0, 0, path)
     expect = np.zeros(4, complex)
     expect[1], expect[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
     assert np.allclose(v, expect, atol=1e-14)
 
 
 def test_triplet_top_is_all_up():
-    path = enumerate_paths(2, H(2), 1)[0]
-    v = coupled_basis_vector(2, H(2), H(2), path)
+    path = enumerate_paths(2, 2, 1)[0]
+    v = coupled_basis_vector(2, 2, 2, path)
     expect = np.zeros(4, complex)
     expect[0] = 1.0
     assert np.allclose(v, expect, atol=1e-14)
@@ -86,9 +83,9 @@ def test_coupled_states_collective_rotation_covariance():
     n = 3
     big = np.kron(np.kron(u, u), u)
     for tj in total_j_values(n):
-        for path in enumerate_paths(n, H(tj), 1):
-            cols = coupled_basis_states(n, H(tj), path)
-            d = su2.wigner_d(H(tj), u)
+        for path in enumerate_paths(n, tj, 1):
+            cols = coupled_basis_states(n, tj, path)
+            d = su2.wigner_d(tj, u)
             assert np.allclose(big @ cols, cols @ d, atol=1e-12)
 
 
@@ -128,7 +125,7 @@ def test_twirl_output_structure():
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert weights.min() > -1e-12
         for j, (tj, idx) in enumerate(zip(conv.tjs, conv.members)):
-            d = multiplicity(n, H(tj))
+            d = multiplicity(n, tj)
             member = blocks[j][np.ix_(idx, idx)]
             assert member.shape == (d, d)
             assert np.allclose(member, member.conj().T, atol=1e-12)

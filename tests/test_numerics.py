@@ -89,8 +89,9 @@ def test_nelder_mead_deterministic():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tolerance=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            OptimizerConfig(tolerance=tol)
 
 
 def test_bisect_zero():

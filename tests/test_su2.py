@@ -7,9 +7,6 @@ import pytest
 from scipy import stats
 
 from su2drift import su2
-from su2drift.halfint import HalfInteger
-
-H = HalfInteger
 
 
 def test_quaternion_matrix_roundtrip():
@@ -55,10 +52,10 @@ def test_class_angle_range_and_trace():
 def test_character_values():
     # chi_j(0) = 2j+1; chi_{1/2}(xi) = 2 cos(xi/2)
     for tj in range(0, 8):
-        assert su2.character(H(tj), 0.0) == pytest.approx(tj + 1, abs=1e-12)
+        assert su2.character(tj, 0.0) == pytest.approx(tj + 1, abs=1e-12)
     for xi in (0.3, 1.0, 3.0, 6.0):
-        assert su2.character(H(1), xi) == pytest.approx(2 * math.cos(xi / 2), abs=1e-12)
-        assert su2.character(H(2), xi) == pytest.approx(
+        assert su2.character(1, xi) == pytest.approx(2 * math.cos(xi / 2), abs=1e-12)
+        assert su2.character(2, xi) == pytest.approx(
             math.sin(1.5 * xi) / math.sin(0.5 * xi), abs=1e-10
         )
 
@@ -69,17 +66,16 @@ def test_character_orthogonality():
     for tja in range(0, 5):
         for tjb in range(0, 5):
             val = np.trapezoid(
-                w * su2.character(H(tja), xi) * su2.character(H(tjb), xi), xi
+                w * su2.character(tja, xi) * su2.character(tjb, xi), xi
             )
             assert val == pytest.approx(1.0 if tja == tjb else 0.0, abs=1e-7)
 
 
 def test_heat_coefficient_semigroup():
     for tj in range(0, 10):
-        j = H(tj)
-        assert su2.heat_coefficient(j, 0.4) * su2.heat_coefficient(
-            j, 1.1
-        ) == pytest.approx(su2.heat_coefficient(j, 1.5), abs=1e-15)
+        assert su2.heat_coefficient(tj, 0.4) * su2.heat_coefficient(
+            tj, 1.1
+        ) == pytest.approx(su2.heat_coefficient(tj, 1.5), abs=1e-15)
 
 
 def test_kernel_normalization():
@@ -111,13 +107,15 @@ def test_kernel_rejects_tiny_time():
             su2.heat_kernel_quat(t, rng, 4)
     for t in (math.nan, -1.0, 0.0):
         with pytest.raises(ValueError):
-            su2.truncation_j_max(t)
+            su2.truncation_tj_max(t)
+    for xi in (math.nan, math.inf, [0.3, math.nan]):
+        with pytest.raises(ValueError):
+            su2.heat_kernel_density(0.5, xi)
 
 
 def test_truncation_bound_is_sufficient():
     for t in (1e-3, 0.1, 1.0):
-        jmax = su2.truncation_j_max(t)
-        tail_j = float(jmax) + 0.5
+        tail_j = su2.truncation_tj_max(t) / 2 + 0.5
         tail = (2 * tail_j + 1) ** 2 * math.exp(-tail_j * (tail_j + 1) * t / 2)
         assert tail < 1e-10
 
@@ -165,11 +163,11 @@ def test_wigner_d_fundamental_and_homomorphism():
     q, p = su2.haar_quat(rng), su2.haar_quat(rng)
     u, v = su2.quat_to_matrix(q), su2.quat_to_matrix(p)
     uv = su2.quat_to_matrix(su2.quat_mul(q, p))
-    assert np.allclose(su2.wigner_d(H(1), u), u, atol=1e-13)
+    assert np.allclose(su2.wigner_d(1, u), u, atol=1e-13)
     for tj in (2, 3, 4):
-        du = su2.wigner_d(H(tj), u)
-        dv = su2.wigner_d(H(tj), v)
-        duv = su2.wigner_d(H(tj), uv)
+        du = su2.wigner_d(tj, u)
+        dv = su2.wigner_d(tj, v)
+        duv = su2.wigner_d(tj, uv)
         assert np.allclose(du @ dv, duv, atol=1e-12)
         assert np.allclose(du @ du.conj().T, np.eye(tj + 1), atol=1e-12)
 
@@ -179,6 +177,6 @@ def test_wigner_d_character_consistency():
     q = su2.haar_quat(rng)
     xi = su2.class_angle_of_quat(q)
     for tj in (1, 2, 5):
-        tr = np.trace(su2.wigner_d(H(tj), su2.quat_to_matrix(q)))
-        assert tr.real == pytest.approx(su2.character(H(tj), xi), abs=1e-11)
+        tr = np.trace(su2.wigner_d(tj, su2.quat_to_matrix(q)))
+        assert tr.real == pytest.approx(su2.character(tj, xi), abs=1e-11)
         assert abs(tr.imag) < 1e-11

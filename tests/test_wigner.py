@@ -9,28 +9,54 @@ from sympy import Rational, S
 from sympy.physics.quantum.cg import CG
 from sympy.physics.wigner import wigner_6j as sympy_6j
 
-from su2drift.halfint import HalfInteger, projection_valid, twice
+from su2drift import su2
+from su2drift.channel import r_coefficient
+from su2drift.coupling import (
+    coupled_basis_states,
+    coupled_basis_vector,
+    enumerate_paths,
+    multiplicity,
+)
+from su2drift.halfint import projection_valid
 from su2drift.wigner import (
     clebsch_gordan,
     recoupling_u,
     selection_ok_cg,
     triangle_ok,
-    u_jk,
     wigner_6j,
 )
 
-H = HalfInteger
+_PATH = enumerate_paths(3, 1, 1)[0]
+#: Each public function that takes spin labels, as (call, valid twice-j labels).
+LABELLED = {
+    "selection_ok_cg": (selection_ok_cg, (1, 1, 1, -1, 0, 0)),
+    "clebsch_gordan": (clebsch_gordan, (1, 1, 1, -1, 0, 0)),
+    "wigner_6j": (wigner_6j, (1, 1, 2, 1, 1, 2)),
+    "recoupling_u": (recoupling_u, (1, 1, 1, 1, 0, 2)),
+    "character": (lambda tj: su2.character(tj, 0.3), (2,)),
+    "heat_coefficient": (lambda tj: su2.heat_coefficient(tj, 0.5), (2,)),
+    "wigner_d": (lambda tj: su2.wigner_d(tj, np.eye(2)), (2,)),
+    "enumerate_paths": (lambda tJ: enumerate_paths(3, tJ, 1), (1,)),
+    "multiplicity": (lambda tJ: multiplicity(4, tJ), (2,)),
+    "coupled_basis_states": (lambda tJ: coupled_basis_states(3, tJ, _PATH), (1,)),
+    "coupled_basis_vector": (
+        lambda tJ, tM: coupled_basis_vector(3, tJ, tM, _PATH), (1, -1)
+    ),
+    "r_coefficient": (lambda *ts: r_coefficient(*ts, 0.5), (2, 1, 1, 0, 1, 1)),
+}
 
 
-def test_half_integer_arithmetic():
-    a, b = H(3), H(1)
-    assert (a + b).twice == 4
-    assert (a - b).twice == 2
-    assert float(a) == 1.5
-    assert H.of(2).twice == 4
-    assert H.of(0.5).twice == 1
-    with pytest.raises(ValueError):
-        H.of(0.3)
+def test_labels_are_twice_j_integers():
+    assert clebsch_gordan(1, 1, 1, -1, 0, 0) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+    for name, (call, labels) in LABELLED.items():
+        expect = call(*labels)
+        got = call(*(np.int64(x) for x in labels))
+        same = np.array_equal(got, expect) if isinstance(expect, np.ndarray) else got == expect
+        assert same, name
+        for pos, bad in itertools.product(range(len(labels)), (0.5, 2.0, 0.3, True)):
+            bent = labels[:pos] + (bad,) + labels[pos + 1:]
+            with pytest.raises(ValueError, match="twice-j integers"):
+                call(*bent)
 
 
 def test_projection_validity():
@@ -54,7 +80,7 @@ def test_cg_against_symbolic_oracle():
                     tM = tm1 + tm2
                     if abs(tM) > tJ:
                         continue
-                    got = clebsch_gordan(H(tj1), H(tm1), H(tj2), H(tm2), H(tJ), H(tM))
+                    got = clebsch_gordan(tj1, tm1, tj2, tm2, tJ, tM)
                     ref = float(
                         CG(
                             Rational(tj1, 2), Rational(tm1, 2),
@@ -66,18 +92,18 @@ def test_cg_against_symbolic_oracle():
 
 
 def test_cg_selection_rules_zero():
-    assert clebsch_gordan(H(1), H(1), H(1), H(1), H(0), H(0)) == 0.0
-    assert clebsch_gordan(H(2), H(0), H(2), H(0), H(1), H(0)) == 0.0
-    assert not selection_ok_cg(H(1), H(1), H(1), H(1), H(0), H(2))
-    assert selection_ok_cg(H(1), H(1), H(1), H(-1), H(0), H(0))
+    assert clebsch_gordan(1, 1, 1, 1, 0, 0) == 0.0
+    assert clebsch_gordan(2, 0, 2, 0, 1, 0) == 0.0
+    assert not selection_ok_cg(1, 1, 1, 1, 0, 2)
+    assert selection_ok_cg(1, 1, 1, -1, 0, 0)
 
 
 def test_cg_known_values():
-    s = clebsch_gordan(H(1), H(1), H(1), H(-1), H(0), H(0))
+    s = clebsch_gordan(1, 1, 1, -1, 0, 0)
     assert s == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-    t = clebsch_gordan(H(1), H(1), H(1), H(-1), H(2), H(0))
+    t = clebsch_gordan(1, 1, 1, -1, 2, 0)
     assert t == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-    assert clebsch_gordan(H(1), H(-1), H(1), H(1), H(0), H(0)) == pytest.approx(
+    assert clebsch_gordan(1, -1, 1, 1, 0, 0) == pytest.approx(
         -1 / math.sqrt(2), abs=1e-15
     )
 
@@ -88,7 +114,7 @@ def test_sixj_against_symbolic_oracle():
     for _ in range(400):
         ts = rng.integers(0, 7, size=6)
         t1, t2, t3, t4, t5, t6 = (int(x) for x in ts)
-        got = wigner_6j(*(H(x) for x in (t1, t2, t3, t4, t5, t6)))
+        got = wigner_6j(t1, t2, t3, t4, t5, t6)
         try:
             ref = float(
                 sympy_6j(*(Rational(x, 2) for x in (t1, t2, t3, t4, t5, t6)))
@@ -101,7 +127,7 @@ def test_sixj_against_symbolic_oracle():
 
 
 def test_sixj_large_arguments():
-    got = wigner_6j(H(16), H(16), H(16), H(16), H(16), H(16))
+    got = wigner_6j(16, 16, 16, 16, 16, 16)
     ref = float(sympy_6j(*(S(8),) * 6))
     assert got == pytest.approx(ref, abs=1e-13)
 
@@ -113,7 +139,7 @@ def test_recoupling_u_unitarity():
     mat = np.array(
         [
             [
-                recoupling_u(H(t1), H(t2), H(tJ), H(t3), H(t12), H(t23))
+                recoupling_u(t1, t2, tJ, t3, t12, t23)
                 for t23 in t23s
             ]
             for t12 in t12s
@@ -132,14 +158,8 @@ def test_recoupling_u_resolves_basis_change():
         for t23 in (0, 2):
             a = CouplingPath(2, (1, t12), (1,))
             b = CouplingPath(1, (1,), (t23, 1))
-            va = coupled_basis_vector(3, H(tJ), H(tJ), a)
-            vb = coupled_basis_vector(3, H(tJ), H(tJ), b)
-            u = recoupling_u(H(t1), H(t2), H(tJ), H(t3), H(t12), H(t23))
+            va = coupled_basis_vector(3, tJ, tJ, a)
+            vb = coupled_basis_vector(3, tJ, tJ, b)
+            u = recoupling_u(t1, t2, tJ, t3, t12, t23)
             assert np.vdot(vb, va) == pytest.approx(u, abs=1e-13)
 
-
-def test_u_jk_requires_neighbors_when_ambiguous():
-    with pytest.raises(ValueError):
-        u_jk(H(2), 3, H(3), H(2), 6)
-    val = u_jk(H(2), 1, H(1), H(1), 4, j_next=H(1))
-    assert isinstance(val, float)
