@@ -8,7 +8,7 @@ the convention is raised between steps, and the convention-(N-1) result is
 embedded as a dense matrix.  channel_apply validates its input; the
 unchecked linear core _apply_linear also serves the Choi matrix and the
 three-qubit bridge.  A Markov-chain Monte Carlo integrator over the same
-noise model provides an independent oracle.
+noise model, conjugating in cache-sized slices, is an independent oracle.
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ from . import coupling, numerics, su2
 from .halfint import twice_labels
 from .wigner import _sixj_t, triangle_ok
 
-#: Samples drawn and accumulated per chunk by monte_carlo_channel up to
-#: N = 4; each further qubit divides the chunk by 4, which keeps every
-#: (chunk, 2^N, 2^N) complex array at 82 MB.
+#: Samples whose group elements monte_carlo_channel draws per chunk, at
+#: every N: a chunk holds only its N quaternions and 2x2 matrices per sample.
 MC_CHUNK = 20000
+#: Complex entries (1 MB) of one (slice, 2^N, 2^N) array conjugated by
+#: monte_carlo_channel: a slice stays in cache at any sample count.
+MC_SLICE_ENTRIES = 1 << 16
 #: Added to each standard error in max_deviation_sigma, so an entry with
 #: zero sample variance does not divide by zero.
 STDERR_FLOOR = 1e-9
@@ -178,9 +180,6 @@ class _Welford:
         m = data.shape[0]
         mean_b = data.mean(axis=0)
         m2_b = ((data - mean_b) ** 2).sum(axis=0)
-        if self.n == 0:
-            self.n, self.mean, self.m2 = m, mean_b, m2_b
-            return
         delta = mean_b - self.mean
         tot = self.n + m
         self.mean += delta * (m / tot)
@@ -200,10 +199,11 @@ def monte_carlo_channel(
     """Monte Carlo estimate of the channel output.
 
     Draws U_1 from Haar, then U_i = U'_i U_{i-1} with U'_i diffusion
-    distributed, and averages the conjugated input.  Deterministic for a
-    fixed seed; standard errors come from merged Welford accumulators over
-    the real and imaginary parts.  Rejects an input that is not a
-    2^N-dimensional density matrix.
+    distributed, and averages the input conjugated in slices of about
+    MC_SLICE_ENTRIES entries.  Deterministic for a fixed seed; standard
+    errors come from merged Welford accumulators over the real and
+    imaginary parts.  Rejects an input that is not a 2^N-dimensional
+    density matrix.
     """
     if samples < 1000:
         raise ValueError("need at least 10^3 samples")
@@ -213,23 +213,25 @@ def monte_carlo_channel(
     rng = np.random.default_rng(seed)
     acc_re = _Welford((d, d))
     acc_im = _Welford((d, d))
-    chunk = MC_CHUNK // 4 ** max(N - 4, 0)
+    step = max(1, MC_SLICE_ENTRIES // d**2)
     done = 0
     while done < samples:
-        b = min(chunk, samples - done)
+        b = min(MC_CHUNK, samples - done)
         q = su2.haar_quat(rng, b)
-        mats = su2.quat_to_matrix(q)
-        big = mats
+        quats = [q]
         for _ in range(1, N):
             if t > 0:
                 q = su2.quat_mul(su2.heat_kernel_quat(t, rng, b), q)
-                mats = su2.quat_to_matrix(q)
-            dim = big.shape[-1]
-            big = np.einsum("bij,bkl->bikjl", big, mats).reshape(b, dim * 2, dim * 2)
-        outs = big @ rho @ big.conj().transpose(0, 2, 1)
-        acc_re.add_chunk(outs.real)
-        acc_im.add_chunk(outs.imag)
-        del outs  # not alive while the next chunk is built
+            quats.append(q)
+        mats = su2.quat_to_matrix(np.stack(quats, axis=1))
+        for m in np.split(mats, range(step, b, step)):
+            big = m[:, 0]
+            for k in range(1, N):
+                dim = 2 * big.shape[-1]
+                big = (big[:, :, None, :, None] * m[:, k, None, :, None, :]).reshape(-1, dim, dim)
+            outs = big @ rho @ big.conj().transpose(0, 2, 1)
+            acc_re.add_chunk(outs.real)
+            acc_im.add_chunk(outs.imag)
         done += b
     mean = acc_re.mean + 1j * acc_im.mean
     return MonteCarloResult(mean, acc_re.stderr(), acc_im.stderr(), samples)

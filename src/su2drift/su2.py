@@ -74,6 +74,14 @@ def class_angle_of_quat(q: np.ndarray) -> np.ndarray:
     return np.minimum(xi, XI_MAX)
 
 
+def _irrep_label(tj) -> int:
+    """An irrep label: a twice-j integer that is not negative."""
+    (tj,) = twice_labels(tj)
+    if tj < 0:
+        raise ValueError(f"irrep twice-j must not be negative, got {tj}")
+    return tj
+
+
 def character(tj, xi) -> float:
     """Character of the irrep j = tj/2 at class angle xi:
     sin((j+1/2)xi)/sin(xi/2).
@@ -81,15 +89,13 @@ def character(tj, xi) -> float:
     Evaluated as the Chebyshev polynomial U_{2j}(cos(xi/2)), which handles
     the removable singularities at xi = 0 and xi = 2*pi exactly.
     """
-    (tj,) = twice_labels(tj)
-    return eval_chebyu(tj, np.cos(np.asarray(xi) / 2.0))
+    return eval_chebyu(_irrep_label(tj), np.cos(np.asarray(xi) / 2.0))
 
 
 def heat_coefficient(tj, t) -> float:
     """Character-expansion coefficient exp(-j(j+1)t/2) of the density,
     j = tj/2."""
-    (tj,) = twice_labels(tj)
-    jv = tj / 2.0
+    jv = _irrep_label(tj) / 2.0
     return math.exp(-0.5 * jv * (jv + 1.0) * float(t))
 
 
@@ -123,8 +129,10 @@ def heat_kernel_density(t, xi):
         raise ValueError("class angle must be finite")
     x = np.cos(xi / 2.0)
     total = np.zeros_like(x)
-    for tj in range(truncation_tj_max(t), -1, -1):
-        total += (tj + 1) * heat_coefficient(tj, t) * eval_chebyu(tj, x)
+    u_prev, u = np.zeros_like(x), np.ones_like(x)  # U_{-1}, U_0 of U_{n+1} = 2x U_n - U_{n-1}
+    for tj in range(truncation_tj_max(t) + 1):
+        total += (tj + 1) * heat_coefficient(tj, t) * u
+        u_prev, u = u, 2.0 * x * u - u_prev
     return total if total.ndim else float(total)
 
 
@@ -197,9 +205,9 @@ def wigner_d(tj, u: np.ndarray) -> np.ndarray:
     tj <= WIGNER_D_TJ_MAX to keep the 2^tj-dimensional construction at
     desk scale.
     """
-    (tj,) = twice_labels(tj)
-    if not 0 <= tj <= WIGNER_D_TJ_MAX:
-        raise ValueError(f"twice-j {tj} outside [0, {WIGNER_D_TJ_MAX}]")
+    tj = _irrep_label(tj)
+    if tj > WIGNER_D_TJ_MAX:
+        raise ValueError(f"twice-j {tj} above {WIGNER_D_TJ_MAX}")
     if tj == 0:
         return np.ones((1, 1), dtype=complex)
     mat = np.asarray(u, dtype=complex)

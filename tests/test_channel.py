@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from su2drift import channel, coupling, numerics
+from su2drift import channel, coupling, numerics, su2
 from su2drift.channel import (
     ChannelSpec,
     channel_apply,
@@ -207,17 +207,61 @@ def test_monte_carlo_chunking_consistent():
     assert np.abs(acc.stderr() - expect).max() < 1e-12
 
 
+def _monte_carlo_by_whole_chunks(rho, N, t, samples, seed):
+    """Reference for monte_carlo_channel: the same chunked draw stream, each
+    chunk conjugated as one full Kronecker stack, and the chunks pooled by
+    the between-chunk variance formula rather than by a Welford merge."""
+    rng = np.random.default_rng(seed)
+    stats = []  # (count, mean, sum of squared deviations) per chunk and part
+    done = 0
+    while done < samples:
+        b = min(channel.MC_CHUNK, samples - done)
+        q = su2.haar_quat(rng, b)
+        big = su2.quat_to_matrix(q)
+        for _ in range(1, N):
+            if t > 0:
+                q = su2.quat_mul(su2.heat_kernel_quat(t, rng, b), q)
+            dim = 2 * big.shape[-1]
+            big = np.einsum("bij,bkl->bikjl", big, su2.quat_to_matrix(q)).reshape(b, dim, dim)
+        outs = big @ rho @ big.conj().transpose(0, 2, 1)
+        stats.append([(b, x.mean(axis=0), ((x - x.mean(axis=0)) ** 2).sum(axis=0))
+                      for x in (outs.real, outs.imag)])
+        done += b
+    pooled = []
+    for part in zip(*stats):
+        mean = sum(n * m for n, m, _ in part) / samples
+        m2 = sum(s2 + n * (m - mean) ** 2 for n, m, s2 in part)
+        pooled.append((mean, np.sqrt(m2 / (samples - 1) / samples)))
+    (mean_re, se_re), (mean_im, se_im) = pooled
+    return mean_re + 1j * mean_im, se_re, se_im
+
+
+def test_monte_carlo_slices_match_whole_chunks():
+    # 45000 samples make chunks of 20000, 20000 and 5000; the slices must
+    # reproduce the same draws and the same pooled mean and spread
+    rng = np.random.default_rng(29)
+    for n in (2, 3, 4):
+        rho = _random_density(rng, 2**n)
+        got = monte_carlo_channel(rho, ChannelSpec(n, 0.5), 45000, seed=40 + n)
+        mean, se_re, se_im = _monte_carlo_by_whole_chunks(rho, n, 0.5, 45000, 40 + n)
+        assert np.abs(got.mean - mean).max() <= 1e-13, n
+        for se_got, se_ref in ((got.stderr_re, se_re), (got.stderr_im, se_im)):
+            assert np.abs(se_got - se_ref).max() <= 1e-13 * se_ref.max(), n
+
+
 def test_monte_carlo_chunk_shrinks_with_register_size():
-    # beyond N = 4 the chunk shrinks by 4 per qubit, so every
-    # (chunk, 2^N, 2^N) complex array stays at 82 MB; a fixed chunk of
-    # 20000 samples peaks near 656 MB here
-    tracemalloc.start()
-    try:
-        monte_carlo_channel(np.eye(64) / 64, ChannelSpec(6, 0.5), 2500, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 410e6
+    # a chunk holds only its group elements, and the input is conjugated
+    # in slices of about 1 MB, so the traced peak stays far below one
+    # (20000, 2^N, 2^N) complex stack (82 MB at N = 4) at any register size
+    for n, samples in ((6, 2500), (4, 20000)):
+        d = 2**n
+        tracemalloc.start()
+        try:
+            monte_carlo_channel(np.eye(d) / d, ChannelSpec(n, 0.5), samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, n
 
 
 def test_monte_carlo_rejects_tiny_sample_count():

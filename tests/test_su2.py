@@ -87,6 +87,19 @@ def test_kernel_normalization():
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
+def test_kernel_density_matches_character_sum():
+    # the Chebyshev recurrence reorders the sum of the characters, so the
+    # two agree to rounding relative to the density's peak
+    xi = np.linspace(0.0, 2 * np.pi, 513)
+    for t in (1e-3, 0.01, 0.1, 0.5, 1.0, 10.0):
+        ref = sum(
+            (tj + 1) * su2.heat_coefficient(tj, t) * su2.character(tj, xi)
+            for tj in range(su2.truncation_tj_max(t), -1, -1)
+        )
+        got = su2.heat_kernel_density(t, xi)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), t
+
+
 def test_kernel_limits():
     xi = np.linspace(0.0, 2 * np.pi, 101)
     # late times approach the flat (Haar) density 1

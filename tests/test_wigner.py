@@ -57,6 +57,10 @@ def test_labels_are_twice_j_integers():
             bent = labels[:pos] + (bad,) + labels[pos + 1:]
             with pytest.raises(ValueError, match="twice-j integers"):
                 call(*bent)
+    # an irrep label is not a projection: it may not be negative
+    for name, bad in (("character", -3), ("heat_coefficient", -1), ("wigner_d", -2)):
+        with pytest.raises(ValueError, match="negative"):
+            LABELLED[name][0](bad)
 
 
 def test_projection_validity():
