@@ -79,8 +79,9 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 
 def _entropy_fast(rho: np.ndarray) -> float:
-    """Entropy without precondition checks, for optimizer hot paths."""
-    evals = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    """Entropy without precondition checks, for optimizer hot paths;
+    eigenvalues <= EIG_CLAMP, tiny negatives included, contribute 0."""
+    evals = np.linalg.eigvalsh(rho)
     nz = evals[evals > EIG_CLAMP]
     return float(-(nz * np.log2(nz)).sum())
 
@@ -97,6 +98,7 @@ class OptimizeResult:
     fun: float
     converged: bool
     restarts_used: int
+    nfev: int  # objective evaluations, the initial f(x0) included
 
 
 def nelder_mead_maximize(f, x0, config: OptimizerConfig = OptimizerConfig()) -> OptimizeResult:
@@ -108,6 +110,7 @@ def nelder_mead_maximize(f, x0, config: OptimizerConfig = OptimizerConfig()) -> 
     x0 = np.asarray(x0, dtype=float)
     rng = np.random.default_rng(config.seed)
     best_x, best_f = x0, f(x0)
+    nfev = 1
     converged = False
     for k in range(config.restarts):
         if k == 0:
@@ -130,7 +133,8 @@ def nelder_mead_maximize(f, x0, config: OptimizerConfig = OptimizerConfig()) -> 
         if -res.fun > best_f:
             best_f, best_x = -res.fun, res.x
         converged = converged or bool(res.success)
-    return OptimizeResult(best_x, best_f, converged, config.restarts)
+        nfev += res.nfev
+    return OptimizeResult(best_x, best_f, converged, config.restarts, nfev)
 
 
 def bisect_zero(g, lo: float, hi: float, tol: float = 1e-3) -> float:

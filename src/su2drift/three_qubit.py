@@ -7,9 +7,11 @@ subspace, so a twirled state is effectively a qutrit in the ordered basis
 j12 = 0) and |1> (j12 = 1), and |2> stands for the symmetric block.  The
 channel preserves no coherence between the qubit subspace and |2>.
 
-The entropy exchange is the entropy of W_kl = Tr(E_k rho E_l^dag)
-(Schumacher, PRA 54, 2614 (1996)), one product W = X (1 (x) rho) X^dag
-whose m x 9 matrix X holds the flattened Kraus operators as rows.  Each
+The objectives apply the channel as one 9 x 9 superoperator product on
+vec(rho) and take output entropies in closed form from the qubit block and
+the |2> weight.  The entropy exchange is the entropy of
+W_kl = Tr(E_k rho E_l^dag) over the Kraus set {E_k} (Schumacher, PRA 54,
+2614 (1996)), read off vec(rho) by one precomputed 9 x m^2 product.  Each
 public quantity checks its input once and calls one unchecked core, which
 the optimizers call directly.
 """
@@ -31,13 +33,15 @@ LOG2_3 = math.log2(3.0)
 E_BASIS = np.array([[0.5, math.sqrt(3) / 2], [math.sqrt(3) / 2, -0.5]])
 
 
-def pure_qubit_state(theta: float, phi: float) -> np.ndarray:
-    """Pure state cos(t/2)|e1> + sin(t/2) e^{i phi}|e2> as a qutrit matrix."""
-    psi = np.array(
-        [math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi), 0.0],
-        dtype=complex,
-    )
-    return np.outer(psi, psi.conj())
+def pure_qubit_state(theta, phi) -> np.ndarray:
+    """Pure state cos(t/2)|e1> + sin(t/2) e^{i phi}|e2> as a qutrit matrix;
+    angle arrays broadcast to a (..., 3, 3) stack."""
+    half = np.asarray(theta, dtype=float) / 2
+    coherent = np.sin(half) * np.exp(1j * np.asarray(phi))
+    psi = np.zeros(coherent.shape + (3,), dtype=complex)
+    psi[..., 0] = np.cos(half)
+    psi[..., 1] = coherent
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 SYMMETRIC_STATE = np.diag([0.0, 0.0, 1.0]).astype(complex)
@@ -76,16 +80,36 @@ def qutrit_channel(rho: np.ndarray, t: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+def _superoperator(t: float) -> np.ndarray:
+    """Read-only 9x9 S with vec(E(rho)) = vec(rho) @ S, vec row-major: row
+    3k + l is the image of |k><l|."""
+    units = np.eye(9, dtype=complex).reshape(9, 3, 3)
+    s = np.stack([_qutrit_channel_linear(u, t) for u in units]).reshape(9, 9)
+    s.setflags(write=False)
+    return s
+
+
+@lru_cache(maxsize=64)
 def qutrit_choi(t: float) -> np.ndarray:
     """9x9 Choi matrix of the effective qutrit channel."""
-    out = np.zeros((9, 9), dtype=complex)
-    for k in range(3):
-        for l in range(3):
-            unit = np.zeros((3, 3), dtype=complex)
-            unit[k, l] = 1.0
-            out[k * 3:(k + 1) * 3, l * 3:(l + 1) * 3] = _qutrit_channel_linear(unit, t)
+    out = _superoperator(t).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
     out.setflags(write=False)
     return out
+
+
+def _output_entropy(out: np.ndarray) -> np.ndarray:
+    """Entropies in bits of channel outputs vectorised along the last axis.
+
+    Outputs keep no coherence with |2>, so their spectrum is the 2x2 qubit
+    block's (a+d)/2 +- sqrt(((a-d)/2)^2 + |b|^2) plus the |2> weight;
+    eigenvalues <= numerics.EIG_CLAMP contribute 0.
+    """
+    evals = out[..., ::4].real.copy()  # the diagonal a, d and the |2> weight
+    mean = 0.5 * (evals[..., 0] + evals[..., 1])
+    r = np.hypot(0.5 * (evals[..., 0] - evals[..., 1]), np.abs(out[..., 1]))
+    evals[..., 0], evals[..., 1] = mean + r, mean - r
+    evals[evals <= numerics.EIG_CLAMP] = 1.0  # contributes 1 log 1 = 0
+    return -(evals * np.log2(evals)).sum(axis=-1)
 
 
 @lru_cache(maxsize=64)
@@ -97,6 +121,16 @@ def kraus_operators(t: float) -> np.ndarray:
     ops = (np.sqrt(evals[keep]) * evecs[:, keep]).T.reshape(-1, 3, 3).transpose(0, 2, 1)
     ops.setflags(write=False)
     return ops
+
+
+@lru_cache(maxsize=64)
+def _exchange_map(t: float) -> np.ndarray:
+    """Read-only (9, m, m) map X with W = vec(rho) . X for the entropy
+    exchange: X[ab, k, l] = sum_i E_k[i, a] conj(E_l[i, b])."""
+    ops = kraus_operators(t)
+    x = np.einsum("kia,lib->abkl", ops, ops.conj()).reshape(9, len(ops), len(ops))
+    x.setflags(write=False)
+    return x
 
 
 # --- bridge to the general channel machinery ------------------------------
@@ -193,21 +227,19 @@ def average_fidelity(t: float) -> float:
 def coherent_information(rho: np.ndarray, t: float) -> float:
     """S(E(rho)) - S_env for one input state, in bits.
 
-    The entropy exchange is the entropy of W_kl = Tr(E_k rho E_l^dag),
-    formed as W = X (1 (x) rho) X^dag with X the Kraus set flattened to
-    m x 9; the value is invariant under Kraus gauge changes.
+    The entropy exchange is the entropy of W_kl = Tr(E_k rho E_l^dag) over
+    the Kraus set; the value is invariant under Kraus gauge changes.
     """
     t = numerics.validate_time(t)
-    return _ci_fast(numerics.validate_density(rho, 3), t, kraus_operators(t))
+    return _ci_fast(numerics.validate_density(rho, 3), t)
 
 
-def _ci_fast(rho: np.ndarray, t: float, ops: np.ndarray) -> float:
+def _ci_fast(rho: np.ndarray, t: float) -> float:
     """Coherent information without validation, for optimizer hot paths."""
-    m = len(ops)
-    # X (1 (x) rho) X^dag, with X (1 (x) rho) read off the stack ops @ rho
-    w = (ops @ rho).reshape(m, 9) @ ops.reshape(m, 9).conj().T
-    out = _qutrit_channel_linear(rho, t)
-    return numerics._entropy_fast(out) - numerics._entropy_fast(w)
+    vec = np.reshape(rho, 9)
+    exchange = _exchange_map(t)
+    w = (vec @ exchange.reshape(9, -1)).reshape(exchange.shape[1:])
+    return float(_output_entropy(vec @ _superoperator(t))) - numerics._entropy_fast(w)
 
 
 def _diagonal_family_state(eps: float) -> np.ndarray:
@@ -220,6 +252,7 @@ class CoherentInfoResult:
     epsilon: float
     general_value: float
     converged: bool
+    nfev: int  # objective evaluations over both searches
 
 
 def maximize_coherent_info(
@@ -237,9 +270,8 @@ def maximize_coherent_info(
     t = numerics.validate_time(t)
     if config is None:
         config = numerics.OptimizerConfig(restarts=8, seed=11)
-    ops = kraus_operators(t)
     res = optimize.minimize_scalar(
-        lambda e: -_ci_fast(_diagonal_family_state(e), t, ops),
+        lambda e: -_ci_fast(_diagonal_family_state(e), t),
         bounds=(0.0, 1.0),
         method="bounded",
         options={"xatol": 1e-10},
@@ -247,17 +279,16 @@ def maximize_coherent_info(
     eps, family_val = float(res.x), float(-res.fun)
 
     def objective(p):
-        r = p / (1.0 + np.linalg.norm(p))  # open unit ball
-        qb = 0.5 * np.array(
-            [[1 + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], 1 - r[2]]]
-        )
+        x, y, z = p / (1.0 + np.linalg.norm(p))  # open unit ball
         state = np.zeros((3, 3), dtype=complex)
-        state[:2, :2] = qb
-        return _ci_fast(state, t, ops)
+        state[:2, :2] = 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
+        return _ci_fast(state, t)
 
     general = numerics.nelder_mead_maximize(objective, np.zeros(3), config)
     best = max(family_val, general.fun, 0.0)
-    return CoherentInfoResult(best, eps, max(general.fun, 0.0), general.converged)
+    return CoherentInfoResult(
+        best, eps, max(general.fun, 0.0), general.converged, res.nfev + general.nfev
+    )
 
 
 def coherent_info_threshold() -> float:
@@ -289,9 +320,7 @@ class Ensemble:
         if any(w < 0 for w in self.weights):
             raise ValueError("ensemble weights must be non-negative")
         for s in self.states:
-            numerics.validate_density(s, 3)
-            evals = np.linalg.eigvalsh(s)
-            if evals[-1] < 1.0 - 1e-10:
+            if np.linalg.eigvalsh(numerics.validate_density(s, 3))[-1] < 1.0 - 1e-10:
                 raise ValueError("ensemble states must be pure")
 
 
@@ -303,26 +332,19 @@ def holevo_chi(ensemble: Ensemble, t: float) -> float:
 
 
 def _chi_fast(weights, states, t: float) -> float:
-    """Holevo quantity without validation, for optimizer hot paths."""
-    avg = sum(w * s for w, s in zip(weights, states))
-    chi = numerics._entropy_fast(_qutrit_channel_linear(avg, t))
-    for w, s in zip(weights, states):
-        if w > 0:
-            chi -= w * numerics._entropy_fast(_qutrit_channel_linear(s, t))
-    return chi
+    """Holevo quantity without validation, for optimizer hot paths: every
+    member through one superoperator product, their average by linearity."""
+    w = np.asarray(weights, dtype=float)
+    outs = np.reshape(states, (-1, 9)) @ _superoperator(t)
+    ent = _output_entropy(np.concatenate(((w @ outs)[None], outs)))
+    return float(ent[0] - w @ ent[1:])
 
 
 def _family_ensemble(q: float, theta: float) -> Ensemble:
     """The mirrored-pair ensemble: two qubit-block states at +-theta/2 from
     |e1> in the phi = 0 plane with weight q each, plus |2>."""
-    return Ensemble(
-        [q, q, 1.0 - 2.0 * q],
-        [
-            pure_qubit_state(theta, 0.0),
-            pure_qubit_state(-theta, 0.0),
-            SYMMETRIC_STATE,
-        ],
-    )
+    pair = pure_qubit_state(np.array([theta, -theta]), 0.0)
+    return Ensemble([q, q, 1.0 - 2.0 * q], [*pair, SYMMETRIC_STATE])
 
 
 @dataclass
@@ -334,6 +356,7 @@ class HolevoResult:
     family_capacity: float
     general_capacity: float
     matched_family: bool
+    nfev: int  # objective evaluations over both searches
 
 
 def _sigmoid(x: float) -> float:
@@ -362,57 +385,39 @@ def maximize_holevo(
         ens = _family_ensemble(q, p[1])
         return _chi_fast(ens.weights, ens.states, t)
 
-    fam = numerics.nelder_mead_maximize(
-        family_obj, np.array([0.0, math.pi / 2]), config
-    )
+    fam = numerics.nelder_mead_maximize(family_obj, np.array([0.0, math.pi / 2]), config)
     q = 0.5 * _sigmoid(fam.x[0])
     theta = _normalize_theta(fam.x[1])
     family_c = fam.fun
+    nfev = fam.nfev
 
     general_c = family_c
     if general_search:
         n_qb = 4  # qubit-block states; |2> is the fifth
-        sym = SYMMETRIC_STATE
+        sym = SYMMETRIC_STATE[None]
 
         def general_obj(p):
             weights = numerics.softmax(np.concatenate((p[:n_qb], [0.0])))
-            states = [
-                pure_qubit_state(p[n_qb + 2 * i], p[n_qb + 2 * i + 1])
-                for i in range(n_qb)
-            ] + [sym]
+            states = np.concatenate((pure_qubit_state(p[n_qb::2], p[n_qb + 1::2]), sym))
             return _chi_fast(weights, states, t)
 
-        x0 = np.concatenate(
-            (
-                np.zeros(n_qb),
-                [v for i in range(n_qb) for v in (math.pi / 2 + 0.3 * i, 0.0)],
-            )
-        )
+        x0 = np.zeros(3 * n_qb)  # weights, then (theta, phi) pairs
+        x0[n_qb::2] = math.pi / 2 + 0.3 * np.arange(n_qb)
         gen = numerics.nelder_mead_maximize(general_obj, x0, config)
         general_c = gen.fun
+        nfev += gen.nfev
 
     matched = general_c <= family_c + 1e-5
-    capacity = max(family_c, general_c)
     return HolevoResult(
-        capacity,
-        _family_ensemble(q, theta),
-        q,
-        theta,
-        family_c,
-        general_c,
-        matched,
+        max(family_c, general_c), _family_ensemble(q, theta), q, theta,
+        family_c, general_c, matched, nfev
     )
 
 
 def _normalize_theta(theta: float) -> float:
     """Fold an unconstrained angle into [0, pi] using the family symmetry
     theta -> -theta (state swap) and 2*pi periodicity."""
-    theta = math.fmod(theta, 2.0 * math.pi)
-    if theta < 0:
-        theta = -theta
-    if theta > math.pi:
-        theta = 2.0 * math.pi - theta
-    return theta
+    return abs(math.remainder(theta, 2.0 * math.pi))
 
 
 def orthogonal_benchmark(
@@ -429,11 +434,8 @@ def orthogonal_benchmark(
         config = numerics.OptimizerConfig(restarts=8, seed=3)
     results = []
     for phi in (0.0, math.pi / 2):
-        states = [
-            pure_qubit_state(math.pi / 2, phi),
-            pure_qubit_state(-math.pi / 2, phi),
-            SYMMETRIC_STATE,
-        ]
+        pair = pure_qubit_state(np.array([math.pi / 2, -math.pi / 2]), phi)
+        states = [*pair, SYMMETRIC_STATE]
 
         def obj(p, states=states):
             weights = numerics.softmax(np.concatenate((p, [0.0])))
@@ -460,11 +462,6 @@ def epsilon_weak(t: float) -> float:
 def q_weak(t: float) -> float:
     """Small-t expansion of the optimal ensemble weight."""
     return 1.0 / 3.0 + (t / 108.0) * (5.0 + 7.0 / (4.0 * LOG2_3) + math.log(t))
-
-
-def theta_weak(t: float) -> float:
-    """Small-t expansion of the optimal ensemble Bloch angle."""
-    return math.pi / 2.0 - (t / 12.0) * (1.0 - LOG2_3 + 2.0 * math.log(t))
 
 
 def capacity_weak(t: float) -> float:

@@ -318,6 +318,34 @@ def check_three_qubit_closed_forms(ctx):
     return worst < 1e-10, f"max closed-form defect {worst:.2e}"
 
 
+def check_three_qubit_objectives(ctx):
+    """The optimizer cores against references built from the public
+    qutrit_channel and von_neumann_entropy; pure qubit-block inputs give
+    rank-deficient outputs at t = 0."""
+    rng = np.random.default_rng(ctx["seed"] + 12)
+    tq, ent = three_qubit, numerics.von_neumann_entropy
+    worst = np.zeros(3)  # superoperator, Holevo, coherent information
+    for t, rank in itertools.product((0.0, 0.05, 0.5, 2.0), (1, 2) * 6):
+        rho = _random_density(rng, 3)
+        out = np.reshape(rho, 9) @ tq._superoperator(t)
+        d_s = np.abs(out - tq.qutrit_channel(rho, t).ravel()).max()
+        w = numerics.softmax(rng.normal(size=5))
+        angles = rng.uniform(0, math.pi, 4), rng.uniform(0, 2 * math.pi, 4)
+        states = [*tq.pure_qubit_state(*angles), tq.SYMMETRIC_STATE]
+        s_out = [ent(tq.qutrit_channel(s, t)) for s in states]
+        s_avg = ent(tq.qutrit_channel(sum(p * s for p, s in zip(w, states)), t))
+        d_chi = abs(tq._chi_fast(w, states, t) - (s_avg - w @ s_out))
+        x = rng.normal(size=(2, rank)) + 1j * rng.normal(size=(2, rank))
+        rho = np.zeros((3, 3), dtype=complex)
+        rho[:2, :2] = x @ x.conj().T / np.sum(np.abs(x) ** 2)
+        ops = tq.kraus_operators(t)
+        w_env = np.array([[np.trace(a @ rho @ b.conj().T) for b in ops] for a in ops])
+        d_ci = abs(tq._ci_fast(rho, t) - ent(tq.qutrit_channel(rho, t)) + ent(w_env))
+        worst = np.maximum(worst, [d_s, d_chi, d_ci])
+    ok = bool(np.all(worst <= [1e-14, 1e-12, 1e-12]))
+    return ok, "max defect: superoperator {:.1e}, Holevo {:.1e}, CI {:.1e}".format(*worst)
+
+
 def check_fidelity_identity(ctx):
     rng = np.random.default_rng(ctx["seed"] + 8)
     worst = 0.0
@@ -410,6 +438,7 @@ CHECKS = [
     ("diffusion_step_commutation", True, check_ii_commutation),
     ("werner_shrink_law", True, check_werner_shrink),
     ("three_qubit_closed_forms", True, check_three_qubit_closed_forms),
+    ("three_qubit_objectives", True, check_three_qubit_objectives),
     ("fidelity_identity", True, check_fidelity_identity),
     ("choi_psd", True, check_choi_psd),
     ("haar_class_ks", False, check_haar_class_ks),

@@ -169,7 +169,7 @@ def test_cli_sweep_manifest_records_seed_used(tmp_path, capsys, monkeypatch):
 
     def fake_maximize(t, config=None):
         used.append(config.seed)
-        return three_qubit.CoherentInfoResult(0.0, 0.5, 0.0, True)
+        return three_qubit.CoherentInfoResult(0.0, 0.5, 0.0, True, 0)
 
     monkeypatch.setattr(three_qubit, "maximize_coherent_info", fake_maximize)
     dst = tmp_path / "ci.csv"

@@ -86,6 +86,23 @@ def test_nelder_mead_deterministic():
     assert np.array_equal(a.x, b.x) and a.fun == b.fun
 
 
+def test_nelder_mead_nfev_counts_every_call():
+    # one converging run and one cut by the evaluation budget
+    for config in (
+        OptimizerConfig(restarts=3, seed=2),
+        OptimizerConfig(restarts=2, max_iters=20, seed=2),
+    ):
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            return -np.sum((x - 1.0) ** 2) - 10 * (x[1] - x[0] ** 2) ** 2
+
+        res = nelder_mead_maximize(f, np.zeros(3), config)
+        assert res.nfev == len(calls)
+        assert res.nfev <= config.restarts * config.max_iters + 1
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)

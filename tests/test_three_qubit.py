@@ -17,6 +17,24 @@ def test_pure_qubit_state_is_normalized():
     assert rho[2, 2] == 0.0
 
 
+def test_pure_qubit_state_broadcasts_over_angle_arrays():
+    rng = np.random.default_rng(35)
+    for shape in ((4,), (2, 3)):
+        theta = rng.uniform(-4, 4, shape)
+        phi = rng.uniform(-4, 4, shape)
+        batch = tq.pure_qubit_state(theta, phi)
+        assert batch.shape == shape + (3, 3)
+        for idx in np.ndindex(shape):
+            single = tq.pure_qubit_state(float(theta[idx]), float(phi[idx]))
+            assert np.abs(batch[idx] - single).max() <= 1e-15
+    # a scalar call is the outer product of the state vector, as a (3, 3)
+    rho = tq.pure_qubit_state(0.7, 1.3)
+    psi = np.array([math.cos(0.35), math.sin(0.35) * np.exp(1.3j), 0.0])
+    assert rho.shape == (3, 3) and rho.dtype == complex
+    assert np.abs(rho - np.outer(psi, psi.conj())).max() <= 1e-15
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
+
+
 def test_e_basis_self_inverse():
     assert np.allclose(tq.E_BASIS @ tq.E_BASIS, np.eye(2), atol=1e-15)
 
