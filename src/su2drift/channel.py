@@ -4,7 +4,8 @@ The channel is the twirl followed by N-1 diffusion steps, step i acting on
 the trailing qubit blocks of coupling convention i.  It runs on block
 arrays (see coupling): the input is twirled into convention 1, each step
 mixes the total-momentum axis elementwise with transfer amplitudes R(t),
-the convention is raised between steps, and the convention-(N-1) result is
+read off a t-free kernel of 6j weights built once per (N, step), the
+convention is raised between steps, and the convention-(N-1) result is
 embedded as a dense matrix.  channel_apply validates its input; the
 unchecked linear core _apply_linear also serves the Choi matrix and the
 three-qubit bridge.  A Markov-chain Monte Carlo integrator over the same
@@ -13,8 +14,6 @@ noise model, conjugating in cache-sized slices, is an independent oracle.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,21 +48,17 @@ class ChannelSpec:
 
 
 @lru_cache(maxsize=1 << 16)
-def _r_coefficient_t(tJ_out, tj1p, tj2p, tJ_in, tj1, tj2, t: float) -> float:
+def _r_weights(tJ_out, tj1p, tj2p, tJ_in, tj1, tj2) -> tuple:
+    """t-free terms ((tj, w), ...) of R(t) = sum w exp(-j(j+1)t/2), j = tj/2,
+    from twice-j labels; () on a triangle violation."""
     if not (triangle_ok(tj1, tj2, tJ_in) and triangle_ok(tj1p, tj2p, tJ_out)):
-        return 0.0
+        return ()
     sign = -1.0 if ((tJ_out - tJ_in) // 2) % 2 else 1.0
-    total = 0.0
-    for tj in range(abs(tj2 - tj2p), tj2 + tj2p + 1, 2):
-        s1 = _sixj_t(tj1, tJ_in, tj2, tj2p, tj, tj1p)
-        if s1 == 0.0:
-            continue
-        s2 = _sixj_t(tj1, tj1p, tj, tj2p, tj2, tJ_out)
-        if s2 == 0.0:
-            continue
-        j = tj / 2.0
-        total += (tj + 1) * math.exp(-0.5 * j * (j + 1) * t) * s1 * s2
-    return sign * (tJ_out + 1) * total
+    return tuple(
+        (tj, sign * (tJ_out + 1) * (tj + 1)
+         * _sixj_t(tj1, tJ_in, tj2, tj2p, tj, tj1p) * _sixj_t(tj1, tj1p, tj, tj2p, tj2, tJ_out))
+        for tj in range(abs(tj2 - tj2p), tj2 + tj2p + 1, 2)
+    )
 
 
 def r_coefficient(tJ_out, tj1p, tj2p, tJ_in, tj1, tj2, t) -> float:
@@ -74,7 +69,27 @@ def r_coefficient(tJ_out, tj1p, tj2p, tJ_in, tj1, tj2, t) -> float:
     triangle violations yield 0.
     """
     labels = twice_labels(tJ_out, tj1p, tj2p, tJ_in, tj1, tj2)
-    return _r_coefficient_t(*labels, numerics.validate_time(t))
+    t = numerics.validate_time(t)
+    return float(sum(w * su2.heat_coefficient(tj, t) for tj, w in _r_weights(*labels)))
+
+
+@lru_cache(maxsize=64)
+def _step_kernel(N: int, i: int) -> np.ndarray:
+    """Read-only t-free kernel K[L, J', J, a, a'] of the i-th diffusion step.
+
+    R(t) from block J to J' for the paths a, a' is
+    sum_L exp(-L(L+1)t/2) K[L, J', J, a, a']: the right totals of a and a'
+    share parity, so every j of the 6j sum is an integer L <= N - i.
+    """
+    conv = coupling.convention(N, i)
+    tjs, types = conv.tjs, conv.block_types
+    kernel = np.zeros((N - i + 1, len(tjs), len(tjs), len(types), len(types)))
+    for o, j, b, c in np.ndindex(kernel.shape[1:]):
+        for tl, w in _r_weights(tjs[o], *types[c], tjs[j], *types[b]):
+            kernel[tl // 2, o, j, b, c] = w
+    kernel = kernel[..., conv.type_of[:, None], conv.type_of]
+    kernel.setflags(write=False)
+    return kernel
 
 
 def apply_diffusion_step(blocks: np.ndarray, N: int, i: int, t: float) -> np.ndarray:
@@ -83,13 +98,9 @@ def apply_diffusion_step(blocks: np.ndarray, N: int, i: int, t: float) -> np.nda
     Each P_J^{a,a'} maps to sum_{J'} R(t) P_{J'}^{a,a'}, where the block
     momenta entering R are the left and right totals of the paths a, a'.
     """
-    conv = coupling.convention(N, i)
-    tjs, types = conv.tjs, conv.block_types
-    r = np.array([
-        _r_coefficient_t(tjo, tj1p, tj2p, tj, tj1, tj2, t)
-        for tjo, tj, (tj1, tj2), (tj1p, tj2p) in itertools.product(tjs, tjs, types, types)
-    ]).reshape(len(tjs), len(tjs), len(types), len(types))
-    mix = r[:, :, conv.type_of[:, None], conv.type_of]
+    kernel = _step_kernel(N, i)
+    heat = [su2.heat_coefficient(2 * L, t) for L in range(len(kernel))]
+    mix = np.tensordot(heat, kernel, 1)
     return np.einsum("ojab,...jab->...oab", mix, blocks)
 
 
@@ -125,21 +136,9 @@ def channel_apply(rho: np.ndarray, spec: ChannelSpec) -> np.ndarray:
     return _apply_linear(numerics.validate_density(rho, 2**spec.n), spec)
 
 
-def choi_matrix(spec: ChannelSpec, subspace: str = "full") -> np.ndarray:
-    """Choi matrix sum_{kl} |k><l| (x) E(|k><l|).
-
-    subspace 'full' works on the 2^N input space (N <= numerics.N_CAPS["choi"]);
-    'effective_qutrit' covers the three-qubit effective channel and is
-    provided by the three-qubit analysis module.
-    """
-    if subspace == "effective_qutrit":
-        from . import three_qubit
-
-        if spec.n != 3:
-            raise ValueError("effective qutrit mode requires N = 3")
-        return three_qubit.qutrit_choi(spec.t)
-    if subspace != "full":
-        raise ValueError(f"unknown subspace {subspace!r}")
+def choi_matrix(spec: ChannelSpec) -> np.ndarray:
+    """Choi matrix sum_{kl} |k><l| (x) E(|k><l|) on the 2^N input space,
+    N <= numerics.N_CAPS["choi"]."""
     d = 2 ** numerics.validate_n(spec.n, "choi")
     out = np.zeros((d * d, d * d), dtype=complex)
     units = np.zeros((d, d, d), dtype=complex)

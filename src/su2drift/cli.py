@@ -118,8 +118,12 @@ def cmd_channel(args) -> int:
               f"({args.samples} samples) -> {'OK' if ok else 'FAIL'}")
         return 0 if ok else 1
     # choi
-    sub = "effective_qutrit" if args.mode == "qutrit" else "full"
-    choi = channel.choi_matrix(spec, subspace=sub)
+    if args.mode == "qutrit":
+        if args.n != 3:
+            raise ValueError("the effective qutrit Choi matrix requires --n 3")
+        choi = three_qubit.qutrit_choi(args.t)
+    else:
+        choi = channel.choi_matrix(spec)
     serialize.save_density(args.out, choi)
     evals = np.linalg.eigvalsh(choi)
     print(f"wrote Choi matrix ({choi.shape[0]}x{choi.shape[0]}) to {args.out}; "

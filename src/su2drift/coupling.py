@@ -13,8 +13,8 @@ total_j_values(N); a and a' run over all convention-k paths, the same for
 every J, and entries whose path cannot couple to J are zero.  Leading axes
 are batch axes.  Twirl and embed are one product each with
 basis_matrix(N, k).  Raising the convention from k to k+1 is
-T_J -> V_J T_J V_J^T with a real orthogonal recoupling matrix V_J that has
-at most two nonzeros per row; the transpose lowers.
+T_J -> V_J T_J V_J^T, where the real orthogonal V_J holds the overlaps of
+the two conventions' coupled states of J.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .halfint import projection_valid, twice_labels
 from .numerics import validate_n
-from .wigner import clebsch_gordan, recoupling_u, triangle_ok
+from .wigner import clebsch_gordan, triangle_ok
 
 
 @dataclass(frozen=True, order=True)
@@ -134,21 +134,27 @@ def _cg_matrix(ta: int, tb: int, tc: int) -> np.ndarray:
     return out
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, without its any-rank bookkeeping."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
 @lru_cache(maxsize=4096)
 def _block_states(seq: tuple, new_first: bool) -> np.ndarray:
-    """Columns |j_block, m>, m from the top down, of a chain of spin-1/2
-    couplings.
+    """Read-only columns |j_block, m>, m from the top down, of a chain of
+    spin-1/2 couplings, built from the cached chain one spin shorter.
 
     seq is the twice-j sequence of intermediate momenta (first entry 1).
     new_first selects whether each added spin is prepended (right blocks)
     or appended (left blocks).
     """
-    mat = np.eye(2)
-    for t_old, t_new in zip(seq, seq[1:]):
-        if new_first:
-            mat = np.kron(np.eye(2), mat) @ _cg_matrix(1, t_old, t_new)
-        else:
-            mat = np.kron(mat, np.eye(2)) @ _cg_matrix(t_old, 1, t_new)
+    if len(seq) == 1:
+        mat = np.eye(2)
+    elif new_first:
+        mat = _kron(np.eye(2), _block_states(seq[:-1], True)) @ _cg_matrix(1, *seq[-2:])
+    else:
+        mat = _kron(_block_states(seq[:-1], False), np.eye(2)) @ _cg_matrix(seq[-2], 1, seq[-1])
+    mat.setflags(write=False)
     return mat
 
 
@@ -166,7 +172,7 @@ def coupled_basis_states(N: int, tJ, path: CouplingPath) -> np.ndarray:
     # the first factor, so its sequence runs from j_N inward.
     left = _block_states(path.left, False)
     right = _block_states(tuple(reversed(path.right)), True)
-    cols = np.kron(left, right) @ _cg_matrix(path.t_left, path.t_right, tJ)
+    cols = _kron(left, right) @ _cg_matrix(path.t_left, path.t_right, tJ)
     return cols.astype(complex)
 
 
@@ -200,9 +206,8 @@ class Convention:
     paths lists every convention-k path (each pair of a left and a right
     walk) in sorted order; members[j] indexes the paths that couple to the
     total momentum tjs[j].  block_types lists the distinct (left total,
-    right total) pairs and type_of maps each path to its pair.
-    raise_matrix[j] is V_J, mapping path amplitudes of convention k to
-    convention k+1 (None for k = N-1).
+    right total) pairs and type_of maps each path to its pair.  columns[j]
+    slices the columns of basis_matrix(N, k) that belong to tjs[j].
     """
 
     paths: tuple
@@ -210,12 +215,12 @@ class Convention:
     members: tuple
     block_types: tuple
     type_of: np.ndarray
-    raise_matrix: np.ndarray | None
+    columns: tuple
 
 
 @lru_cache(maxsize=64)
 def convention(N: int, k: int) -> Convention:
-    """Layout and raising matrices of the convention-k block arrays."""
+    """Layout of the convention-k block arrays."""
     validate_n(N, "paths")
     if not 1 <= k <= N - 1:
         raise ValueError(f"k={k} out of range [1, {N - 1}]")
@@ -227,51 +232,37 @@ def convention(N: int, k: int) -> Convention:
     )
     block_types = tuple(sorted({(p.t_left, p.t_right) for p in paths}))
     type_of = np.array([block_types.index((p.t_left, p.t_right)) for p in paths])
-    v = None
-    if k < N - 1:
-        raised = {p: b for b, p in enumerate(_all_paths(N, k + 1))}
-        v = np.zeros((len(tjs), len(raised), len(paths)))
-        for j, tj in enumerate(tjs):
-            for a in members[j]:
-                for new, coeff in _raised_paths(paths[a], tj):
-                    v[j, raised[new], a] = coeff
-        v.setflags(write=False)
-    return Convention(paths, tjs, members, block_types, type_of, v)
+    ends = list(itertools.accumulate(len(idx) * (tj + 1) for tj, idx in zip(tjs, members)))
+    columns = tuple(slice(a, b) for a, b in zip([0] + ends, ends))
+    return Convention(paths, tjs, members, block_types, type_of, columns)
 
 
-def _raised_paths(path: CouplingPath, tJ: int) -> list:
-    """A convention-k path re-expressed in convention k+1, with amplitudes.
+def _top_states(N: int, k: int) -> list:
+    """Per total momentum J, the real top (M = J) coupled states of the
+    convention-k paths of J: one column of basis_matrix(N, k) each."""
+    conv, basis = convention(N, k), basis_matrix(N, k).real
+    return [basis[:, cols][:, ::tj + 1] for tj, cols in zip(conv.tjs, conv.columns)]
 
-    The sum runs over the new left entry j_{1..k+1}; the coefficient is
-    U(j_{1..k}, 1/2, J, j_{k+2..N}; j_{1..k+1}, j_{k+1..N}).
-    """
-    t_prev = path.t_left  # j_{1..k}
-    t_low = path.right[0]  # j_{k+1..N}
-    t_next = path.right[1]  # j_{k+2..N}
-    out = []
-    for t_new in (t_prev - 1, t_prev + 1):
-        if t_new < 0 or not triangle_ok(t_new, t_next, tJ):
-            continue
-        coeff = recoupling_u(t_prev, 1, tJ, t_next, t_new, t_low)
-        if coeff != 0.0:
-            out.append((CouplingPath(path.k + 1, path.left + (t_new,), path.right[1:]), coeff))
-    return out
+
+@lru_cache(maxsize=64)
+def _raise_matrix(N: int, k: int) -> np.ndarray:
+    """Read-only V[j, b, a] = <J J b|J J a>, the overlap of the top states
+    of convention-(k+1) path b and convention-k path a; zero off the
+    members of J."""
+    lo, hi = convention(N, k), convention(N, k + 1)
+    v = np.zeros((len(lo.tjs), len(hi.paths), len(lo.paths)))
+    for j, (old, new) in enumerate(zip(_top_states(N, k), _top_states(N, k + 1))):
+        v[j, hi.members[j][:, None], lo.members[j]] = new.T @ old
+    v.setflags(write=False)
+    return v
 
 
 def raise_convention(blocks: np.ndarray, N: int, k: int) -> np.ndarray:
     """Re-express a convention-k block array in convention k+1: V_J T_J V_J^T."""
     if not 1 <= k <= N - 2:
         raise ValueError(f"cannot raise convention {k} for N={N}")
-    v = convention(N, k).raise_matrix
+    v = _raise_matrix(N, k)
     return v @ blocks @ v.transpose(0, 2, 1)
-
-
-def lower_convention(blocks: np.ndarray, N: int, k: int) -> np.ndarray:
-    """Re-express a convention-k block array in convention k-1: V_J^T T_J V_J."""
-    if not 2 <= k <= N - 1:
-        raise ValueError(f"cannot lower convention {k} for N={N}")
-    v = convention(N, k - 1).raise_matrix
-    return v.transpose(0, 2, 1) @ blocks @ v
 
 
 def _twirl_linear(rho: np.ndarray, N: int, k: int = 1) -> np.ndarray:
@@ -287,13 +278,9 @@ def _twirl_linear(rho: np.ndarray, N: int, k: int = 1) -> np.ndarray:
     sigma = basis.conj().T @ rho @ basis
     batch = rho.shape[:-2]
     out = np.zeros(batch + (len(conv.tjs), len(conv.paths), len(conv.paths)), dtype=complex)
-    offset = 0
-    for j, (tj, idx) in enumerate(zip(conv.tjs, conv.members)):
-        size = len(idx) * (tj + 1)
-        sub = sigma[..., offset:offset + size, offset:offset + size]
-        sub = sub.reshape(batch + (len(idx), tj + 1, len(idx), tj + 1))
+    for j, (tj, idx, cols) in enumerate(zip(conv.tjs, conv.members, conv.columns)):
+        sub = sigma[..., cols, cols].reshape(batch + (len(idx), tj + 1, len(idx), tj + 1))
         out[..., j, idx[:, None], idx] = np.trace(sub, axis1=-3, axis2=-1)
-        offset += size
     return out
 
 
@@ -305,11 +292,8 @@ def embed_blocks(blocks: np.ndarray, N: int, k: int) -> np.ndarray:
     conv = convention(N, k)
     batch = blocks.shape[:-3]
     sigma = np.zeros(batch + (2**N, 2**N), dtype=complex)
-    offset = 0
-    for j, (tj, idx) in enumerate(zip(conv.tjs, conv.members)):
-        size = len(idx) * (tj + 1)
+    for j, (tj, idx, cols) in enumerate(zip(conv.tjs, conv.members, conv.columns)):
         sub = np.einsum("...ab,mn->...ambn", blocks[..., j, idx[:, None], idx], np.eye(tj + 1))
-        sigma[..., offset:offset + size, offset:offset + size] = sub.reshape(batch + (size, size)) / (tj + 1)
-        offset += size
+        sigma[..., cols, cols] = sub.reshape(batch + (len(idx) * (tj + 1),) * 2) / (tj + 1)
     basis = basis_matrix(N, k)
     return basis @ sigma @ basis.conj().T

@@ -13,7 +13,8 @@ import itertools
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import sparse, stats
+from scipy.sparse.linalg import expm_multiply
 
 from . import channel, coupling, numerics, su2, three_qubit, wigner
 
@@ -268,19 +269,48 @@ def check_block_weight_stochastic(ctx):
     return worst < 1e-10, f"max column-sum defect {worst:.2e}"
 
 
-def check_ii_commutation(ctx):
+def check_channel_semigroup(ctx):
+    """E_0.9(E_0.4(rho)) = E_1.3(rho), which holds because the twirl
+    commutes with every diffusion step and the steps with each other."""
     rng = np.random.default_rng(ctx["seed"] + 6)
-    rho = _random_density(rng, 8)
-    blocks = coupling._twirl_linear(rho, 3)
-    t = 0.8
-    # I_1 then I_2, ending in convention 2
-    a = coupling.raise_convention(channel.apply_diffusion_step(blocks, 3, 1, t), 3, 1)
-    a = channel.apply_diffusion_step(a, 3, 2, t)
-    # I_2 then I_1, ending in convention 1
-    b = channel.apply_diffusion_step(coupling.raise_convention(blocks, 3, 1), 3, 2, t)
-    b = channel.apply_diffusion_step(coupling.lower_convention(b, 3, 2), 3, 1, t)
-    worst = np.abs(coupling.embed_blocks(a, 3, 2) - coupling.embed_blocks(b, 3, 1)).max()
-    return worst < 1e-10, f"max commutator defect {worst:.2e}"
+    worst = 0.0
+    for n in range(2, 7):
+        rho = _random_density(rng, 2**n)
+        once = channel.channel_apply(rho, channel.ChannelSpec(n, 0.4))
+        twice = channel.channel_apply(once, channel.ChannelSpec(n, 0.9))
+        direct = channel.channel_apply(rho, channel.ChannelSpec(n, 1.3))
+        worst = max(worst, np.abs(twice - direct).max())
+    return worst < 1e-11, f"max semigroup defect {worst:.2e}"
+
+
+def check_generator_oracle(ctx):
+    """The engine against exp(-(80 C_1 + t sum_{i>=2} C_i)/2), applied with
+    expm_multiply to the row-major vec(rho).  C_i = sum_a (K^a)^2 with
+    K^a = S^a (x) 1 - 1 (x) (S^a)^T and S^a the total spin of qubits i..N,
+    so C_i vec(X) = vec(sum_a [S^a, [S^a, X]]).  The damped C_1 stands for
+    the twirl (error e^-80); no CG, 6j, coupled basis or sampler enters."""
+    rng = np.random.default_rng(ctx["seed"] + 13)
+    paulis = [np.array(p) / 2 for p in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
+
+    def casimir(n, i):
+        eye, total = sparse.identity(2**n), 0
+        for p in paulis:
+            spin = sum(sparse.kron(sparse.kron(sparse.identity(2**q), p), sparse.identity(2 ** (n - q - 1)))
+                       for q in range(i - 1, n))
+            k = sparse.kron(spin, eye) - sparse.kron(eye, spin.T)
+            total = total + k @ k
+        return total
+
+    worst = 0.0
+    n_max = 5 if ctx.get("quick", True) else 6
+    for n in range(2, n_max + 1):
+        c1, rest = casimir(n, 1), sum(casimir(n, i) for i in range(2, n + 1))
+        rho = _random_density(rng, 2**n)
+        for t in (0.0, 0.3, 1.0):
+            out = expm_multiply(-0.5 * (80.0 * c1 + t * rest), rho.ravel())
+            ref = channel._apply_linear(rho, channel.ChannelSpec(n, t))
+            worst = max(worst, np.abs(out.reshape(rho.shape) - ref).max())
+    return worst < 1e-12, f"max defect {worst:.2e} at N = 2..{n_max}"
 
 
 def check_werner_shrink(ctx):
@@ -435,7 +465,8 @@ CHECKS = [
     ("channel_input_twirl_equivalence", True, check_channel_input_twirl_equivalence),
     ("channel_covariance", True, check_channel_covariance),
     ("block_weight_stochastic", True, check_block_weight_stochastic),
-    ("diffusion_step_commutation", True, check_ii_commutation),
+    ("channel_semigroup", True, check_channel_semigroup),
+    ("generator_oracle", True, check_generator_oracle),
     ("werner_shrink_law", True, check_werner_shrink),
     ("three_qubit_closed_forms", True, check_three_qubit_closed_forms),
     ("three_qubit_objectives", True, check_three_qubit_objectives),
@@ -451,7 +482,7 @@ CHECKS = [
 
 def run_verify(quick: bool = False, seed: int = 12345, cg=None) -> dict:
     """Run all (or the quick subset of) named checks; never aborts early."""
-    ctx = {"seed": seed}
+    ctx = {"seed": seed, "quick": quick}
     if cg is not None:
         ctx["cg"] = cg
     results = []

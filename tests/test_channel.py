@@ -1,12 +1,13 @@
 """Channel engine, transfer coefficients, Werner law, Choi, Monte Carlo."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from su2drift import channel, coupling, numerics, su2
+from su2drift import channel, coupling, numerics, su2, three_qubit, verify
 from su2drift.channel import (
     ChannelSpec,
     channel_apply,
@@ -14,6 +15,8 @@ from su2drift.channel import (
     monte_carlo_channel,
     r_coefficient,
 )
+
+from conftest import VERIFY_SEED
 
 
 def _random_density(rng, dim):
@@ -140,12 +143,8 @@ def test_single_qubit_is_depolarizing():
 
 
 def test_channel_composition_semigroup():
-    rng = np.random.default_rng(25)
-    for n in range(2, 7):
-        rho = _random_density(rng, 2**n)
-        once = channel_apply(channel_apply(rho, ChannelSpec(n, 0.4)), ChannelSpec(n, 0.9))
-        direct = channel_apply(rho, ChannelSpec(n, 1.3))
-        assert np.allclose(once, direct, atol=1e-11)
+    ok, detail = verify.check_channel_semigroup({"seed": VERIFY_SEED})
+    assert ok, detail
 
 
 def test_choi_properties():
@@ -167,11 +166,35 @@ def test_choi_properties():
 
 
 def test_choi_qutrit_mode():
-    choi = choi_matrix(ChannelSpec(3, 0.4), subspace="effective_qutrit")
+    choi = three_qubit.qutrit_choi(0.4)
     assert choi.shape == (9, 9)
+    assert np.allclose(choi, choi.conj().T, atol=1e-14)
     assert np.linalg.eigvalsh(choi).min() > -1e-10
-    with pytest.raises(ValueError):
-        choi_matrix(ChannelSpec(2, 0.4), subspace="effective_qutrit")
+
+
+def test_step_kernel_matches_r_coefficient():
+    # R(t) read off the t-free step kernel is the paper's 6j sum itself
+    rng = np.random.default_rng(31)
+    for n in range(2, 7):
+        for i in range(1, n):
+            conv = coupling.convention(n, i)
+            kernel = channel._step_kernel(n, i)
+            t = rng.uniform(0.0, 3.0)
+            heat = [su2.heat_coefficient(2 * L, t) for L in range(len(kernel))]
+            r = np.tensordot(heat, kernel, 1)
+            types = [conv.block_types[c] for c in conv.type_of]
+            for o, j in itertools.product(range(len(conv.tjs)), repeat=2):
+                for a, b in itertools.product(range(len(types)), repeat=2):
+                    expect = r_coefficient(conv.tjs[o], *types[b], conv.tjs[j], *types[a], t)
+                    assert abs(r[o, j, a, b] - expect) <= 1e-15, (n, i, o, j, a, b)
+
+
+def test_engine_tables_read_only():
+    for n in (3, 5):
+        for i in range(1, n):
+            assert not channel._step_kernel(n, i).flags.writeable
+        for k in range(1, n - 1):
+            assert not coupling._raise_matrix(n, k).flags.writeable
 
 
 def test_monte_carlo_matches_pipeline_small():

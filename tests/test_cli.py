@@ -104,6 +104,8 @@ def test_cli_channel_choi_qutrit(tmp_path, capsys):
     assert code == 0
     choi = serialize.load_density(str(dst))
     assert choi.shape == (9, 9)
+    assert main(f"channel choi --n 2 --t 0.5 --mode qutrit --out {dst}".split()) == 2
+    assert "--n 3" in capsys.readouterr().err
 
 
 def test_cli_three_fidelity(capsys):

@@ -14,7 +14,6 @@ from su2drift.coupling import (
     coupled_basis_vector,
     embed_blocks,
     enumerate_paths,
-    lower_convention,
     multiplicity,
     raise_convention,
     total_j_values,
@@ -160,28 +159,25 @@ def test_block_weights_convention_independent():
 
 
 def test_convention_shift_matches_dense():
-    # raising keeps the operator; the transpose lowers back exactly
+    # raising keeps the operator, and each V_J is orthogonal on the members of J
     rng = np.random.default_rng(15)
     for n in (3, 4, 5):
         rho = _random_density(rng, 2**n)
-        blocks0 = _twirl_linear(rho, n)
-        dense0 = embed_blocks(blocks0, n, 1)
-        blocks = blocks0
+        blocks = _twirl_linear(rho, n)
+        dense0 = embed_blocks(blocks, n, 1)
         for k in range(1, n - 1):
             blocks = raise_convention(blocks, n, k)
             assert np.allclose(embed_blocks(blocks, n, k + 1), dense0, atol=1e-11)
-        for k in range(n - 1, 1, -1):
-            blocks = lower_convention(blocks, n, k)
-            assert np.allclose(embed_blocks(blocks, n, k - 1), dense0, atol=1e-11)
-        assert np.allclose(blocks, blocks0, atol=1e-12)
+            v = coupling._raise_matrix(n, k)
+            for j, (a, b) in enumerate(zip(convention(n, k).members, convention(n, k + 1).members)):
+                v_j = v[j][np.ix_(b, a)]
+                assert np.abs(v_j.T @ v_j - np.eye(len(a))).max() <= 1e-13
 
 
 def test_convention_shift_bounds():
     rng = np.random.default_rng(16)
     rho = _random_density(rng, 8)
     blocks = _twirl_linear(rho, 3)
-    with pytest.raises(ValueError):
-        lower_convention(blocks, 3, 1)
     top = raise_convention(blocks, 3, 1)
     with pytest.raises(ValueError):
         raise_convention(top, 3, 2)
