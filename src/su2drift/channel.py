@@ -8,8 +8,9 @@ read off a t-free kernel of 6j weights built once per (N, step), the
 convention is raised between steps, and the convention-(N-1) result is
 embedded as a dense matrix.  channel_apply validates its input; the
 unchecked linear core _apply_linear also serves the Choi matrix and the
-three-qubit bridge.  A Markov-chain Monte Carlo integrator over the same
-noise model, conjugating in cache-sized slices, is an independent oracle.
+three-qubit bridge.  A Monte Carlo integrator over the same noise model
+is an independent oracle: it draws independent samples, each a Markov chain
+of rotations along the register, and conjugates them in cache-sized slices.
 """
 
 from __future__ import annotations
@@ -167,28 +168,6 @@ class MonteCarloResult:
         return float(max(dev_re.max(), dev_im.max()))
 
 
-class _Welford:
-    """Streaming mean/M2 accumulator mergeable across chunks."""
-
-    def __init__(self, shape):
-        self.n = 0
-        self.mean = np.zeros(shape)
-        self.m2 = np.zeros(shape)
-
-    def add_chunk(self, data: np.ndarray):
-        m = data.shape[0]
-        mean_b = data.mean(axis=0)
-        m2_b = ((data - mean_b) ** 2).sum(axis=0)
-        delta = mean_b - self.mean
-        tot = self.n + m
-        self.mean += delta * (m / tot)
-        self.m2 += m2_b + delta**2 * (self.n * m / tot)
-        self.n = tot
-
-    def stderr(self) -> np.ndarray:
-        return np.sqrt(self.m2 / (self.n - 1) / self.n)
-
-
 def monte_carlo_channel(
     rho: np.ndarray,
     spec: ChannelSpec,
@@ -200,9 +179,10 @@ def monte_carlo_channel(
     Draws U_1 from Haar, then U_i = U'_i U_{i-1} with U'_i diffusion
     distributed, and averages the input conjugated in slices of about
     MC_SLICE_ENTRIES entries.  Deterministic for a fixed seed; standard
-    errors come from merged Welford accumulators over the real and
-    imaginary parts.  Rejects an input that is not a 2^N-dimensional
-    density matrix.
+    errors come from running sums of x and x^2 over the float view of the
+    outputs (real and imaginary parts interleaved), taken about the first
+    sample so that near-constant entries do not cancel catastrophically.
+    Rejects an input that is not a 2^N-dimensional density matrix.
     """
     if samples < 1000:
         raise ValueError("need at least 10^3 samples")
@@ -210,8 +190,7 @@ def monte_carlo_channel(
     d = 2**N
     rho = numerics.validate_density(rho, d)
     rng = np.random.default_rng(seed)
-    acc_re = _Welford((d, d))
-    acc_im = _Welford((d, d))
+    shift = total = squares = None
     step = max(1, MC_SLICE_ENTRIES // d**2)
     done = 0
     while done < samples:
@@ -228,9 +207,15 @@ def monte_carlo_channel(
             for k in range(1, N):
                 dim = 2 * big.shape[-1]
                 big = (big[:, :, None, :, None] * m[:, k, None, :, None, :]).reshape(-1, dim, dim)
-            outs = big @ rho @ big.conj().transpose(0, 2, 1)
-            acc_re.add_chunk(outs.real)
-            acc_im.add_chunk(outs.imag)
+            x = (big @ rho @ big.conj().transpose(0, 2, 1)).view(float)
+            if shift is None:
+                shift = x[0].copy()
+                total, squares = np.zeros_like(shift), np.zeros_like(shift)
+            x -= shift
+            total += x.sum(axis=0)
+            squares += np.einsum("sij,sij->ij", x, x)
         done += b
-    mean = acc_re.mean + 1j * acc_im.mean
-    return MonteCarloResult(mean, acc_re.stderr(), acc_im.stderr(), samples)
+    mean = total / samples
+    var = np.maximum(squares - samples * mean**2, 0.0) / (samples - 1)
+    stderr = np.sqrt(var / samples)
+    return MonteCarloResult((mean + shift).view(complex), stderr[:, ::2], stderr[:, 1::2], samples)

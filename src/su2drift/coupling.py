@@ -192,11 +192,9 @@ def basis_matrix(N: int, k: int) -> np.ndarray:
     Columns run over J ascending, then the convention-k paths of J in
     sorted order, then M = J, J-1, ..., -J.
     """
-    cols = []
-    for tJ in total_j_values(N):
-        for path in enumerate_paths(N, tJ, k):
-            cols.append(coupled_basis_states(N, tJ, path))
-    return np.concatenate(cols, axis=1)
+    conv = convention(N, k)
+    return np.concatenate([coupled_basis_states(N, tj, conv.paths[a])
+                           for tj, idx in zip(conv.tjs, conv.members) for a in idx], axis=1)
 
 
 @dataclass(frozen=True)

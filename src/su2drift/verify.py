@@ -33,7 +33,6 @@ def _twirled(rho, n):
 
 
 def check_cg_orthogonality(ctx):
-    cg = ctx.get("cg", wigner.clebsch_gordan)
     worst = 0.0
     for tj1, tj2 in itertools.product(_TJ_RANGE, _TJ_RANGE):
         labels_m = [
@@ -49,7 +48,7 @@ def check_cg_orthogonality(ctx):
         mat = np.array(
             [
                 [
-                    cg(tj1, tm1, tj2, tm2, tJ, tM)
+                    wigner.clebsch_gordan(tj1, tm1, tj2, tm2, tJ, tM)
                     for (tJ, tM) in labels_jm
                 ]
                 for (tm1, tm2) in labels_m
@@ -480,11 +479,9 @@ CHECKS = [
 ]
 
 
-def run_verify(quick: bool = False, seed: int = 12345, cg=None) -> dict:
+def run_verify(quick: bool = False, seed: int = 12345) -> dict:
     """Run all (or the quick subset of) named checks; never aborts early."""
     ctx = {"seed": seed, "quick": quick}
-    if cg is not None:
-        ctx["cg"] = cg
     results = []
     for name, is_quick, fn in CHECKS:
         if quick and not is_quick:

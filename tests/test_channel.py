@@ -217,23 +217,10 @@ def test_monte_carlo_deterministic():
     assert np.array_equal(a.stderr_re, b.stderr_re)
 
 
-def test_monte_carlo_chunking_consistent():
-    # the Welford accumulator merges uneven chunks into the one-pass figures
-    rng = np.random.default_rng(28)
-    data = rng.normal(size=(5000, 3, 3))
-    acc = channel._Welford((3, 3))
-    for lo, hi in ((0, 1), (1, 1000), (1000, 1003), (1003, 5000)):
-        acc.add_chunk(data[lo:hi])
-    assert acc.n == len(data)
-    assert np.abs(acc.mean - data.mean(axis=0)).max() < 1e-12
-    expect = data.std(axis=0, ddof=1) / math.sqrt(len(data))
-    assert np.abs(acc.stderr() - expect).max() < 1e-12
-
-
 def _monte_carlo_by_whole_chunks(rho, N, t, samples, seed):
     """Reference for monte_carlo_channel: the same chunked draw stream, each
     chunk conjugated as one full Kronecker stack, and the chunks pooled by
-    the between-chunk variance formula rather than by a Welford merge."""
+    the between-chunk variance formula rather than by running sums."""
     rng = np.random.default_rng(seed)
     stats = []  # (count, mean, sum of squared deviations) per chunk and part
     done = 0
@@ -270,6 +257,25 @@ def test_monte_carlo_slices_match_whole_chunks():
         assert np.abs(got.mean - mean).max() <= 1e-13, n
         for se_got, se_ref in ((got.stderr_re, se_re), (got.stderr_im, se_im)):
             assert np.abs(se_got - se_ref).max() <= 1e-13 * se_ref.max(), n
+    # a near-mixed input: every entry barely moves, so unshifted sums of x
+    # and x^2 would cancel catastrophically (they miss by ~1e-2 here)
+    d = 16
+    rho = (1 - 1e-6) * np.eye(d) / d + 1e-6 * _random_density(rng, d)
+    got = monte_carlo_channel(rho, ChannelSpec(4, 0.5), 25000, seed=44)
+    mean, se_re, se_im = _monte_carlo_by_whole_chunks(rho, 4, 0.5, 25000, 44)
+    assert np.abs(got.mean - mean).max() <= 1e-15
+    for se_got, se_ref in ((got.stderr_re, se_re), (got.stderr_im, se_im)):
+        assert np.abs(se_got - se_ref).max() <= 1e-8 * se_ref.max()
+
+
+def test_monte_carlo_maximally_mixed_input():
+    # every sample conjugates 1/d to itself, so the spread is rounding only
+    for n in (1, 2, 3, 4):
+        d = 2**n
+        mc = monte_carlo_channel(np.eye(d) / d, ChannelSpec(n, 0.5), 1000, seed=n)
+        assert np.abs(mc.mean - np.eye(d) / d).max() <= 1e-15, n
+        for se in (mc.stderr_re, mc.stderr_im):
+            assert np.isfinite(se).all() and se.max() <= 1e-15, n
 
 
 def test_monte_carlo_chunk_shrinks_with_register_size():

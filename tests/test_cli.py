@@ -129,14 +129,31 @@ def test_cli_three_sweep(tmp_path, capsys):
     assert (tmp_path / "avg.manifest.json").exists()
 
 
-def test_cli_verify_quick(capsys):
+def _stub_checks(monkeypatch, *extra):
+    """Stand-in verify.CHECKS: two quick passing stubs, then any extra
+    quick checks, then a non-quick stub that --quick must skip."""
+    def passing(ctx):
+        return True, "stub"
+
+    def skipped(ctx):
+        raise AssertionError("--quick ran a non-quick check")
+
+    checks = [("stub_a", True, passing), ("stub_b", True, passing), *extra,
+              ("stub_slow", False, skipped)]
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    monkeypatch.delenv("SU2DRIFT_SEED", raising=False)
+
+
+def test_cli_verify_quick(capsys, monkeypatch):
+    _stub_checks(monkeypatch)
     code = main("verify --quick".split())
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_cli_verify_json_report(tmp_path, capsys):
+def test_cli_verify_json_report(tmp_path, capsys, monkeypatch):
+    _stub_checks(monkeypatch)
     report = tmp_path / "report.json"
     code = main(f"verify --quick --report {report}".split())
     assert code == 0
@@ -144,7 +161,29 @@ def test_cli_verify_json_report(tmp_path, capsys):
     assert obj["failed"] == 0
     assert all("check" in r and "ok" in r for r in obj["results"])
     quick = [name for name, is_quick, _ in verify.CHECKS if is_quick]
-    assert [r["check"] for r in obj["results"]] == quick
+    assert [r["check"] for r in obj["results"]] == quick == ["stub_a", "stub_b"]
+
+
+def test_cli_verify_failing_check_exits_1(capsys, monkeypatch):
+    _stub_checks(monkeypatch, ("stub_bad", True, lambda ctx: (False, "bad")))
+    assert main("verify --quick".split()) == 1
+    out = capsys.readouterr().out
+    assert "FAIL stub_bad - bad" in out
+    assert "2 passed, 1 failed" in out
+
+
+def test_cli_verify_raising_check_fails_without_abort(tmp_path, capsys, monkeypatch):
+    def boom(ctx):
+        raise RuntimeError("boom")
+
+    _stub_checks(monkeypatch, ("stub_boom", True, boom), ("stub_c", True, lambda ctx: (True, "c")))
+    report = tmp_path / "report.json"
+    assert main(f"verify --quick --report {report}".split()) == 1
+    results = json.loads(report.read_text())["results"]
+    assert [(r["check"], r["ok"]) for r in results] == [
+        ("stub_a", True), ("stub_b", True), ("stub_boom", False), ("stub_c", True)]
+    assert "boom" in results[2]["detail"]
+    assert "FAIL stub_boom" in capsys.readouterr().out
 
 
 def test_cli_seed_zero_is_used_as_given(tmp_path, capsys, monkeypatch):
