@@ -105,11 +105,7 @@ def cmd_channel(args) -> int:
         print(f"wrote output density to {args.out}")
         return 0
     if args.action == "mc-check":
-        rng = np.random.default_rng(args.seed)
-        dim = 2**args.n
-        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = x @ x.conj().T
-        rho /= np.trace(rho)
+        rho = verify._random_density(np.random.default_rng(args.seed), 2**args.n)
         ref = channel.channel_apply(rho, spec)
         mc = channel.monte_carlo_channel(rho, spec, args.samples, seed=args.seed)
         dev = mc.max_deviation_sigma(ref)

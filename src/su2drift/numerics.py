@@ -86,12 +86,6 @@ def _entropy_fast(rho: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
-
-
 @dataclass
 class OptimizeResult:
     x: np.ndarray
@@ -156,24 +150,11 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return z / z.sum()
 
 
-def sphere_quadrature(f, n_points, seed: int = 0):
-    """Average of f(theta, phi) over the uniform sphere.
-
-    An integer n_points runs Monte Carlo and returns (mean, stderr);
-    a (n_theta, n_phi) pair runs Gauss-Legendre in cos(theta) times a
-    trapezoid rule in phi and returns (value, 0.0).
-    """
-    if isinstance(n_points, tuple):
-        n_th, n_ph = n_points
-        nodes, weights = np.polynomial.legendre.leggauss(n_th)
-        thetas = np.arccos(nodes)
-        phis = np.linspace(0.0, 2 * np.pi, n_ph, endpoint=False)
-        vals = np.array([[f(th, ph) for ph in phis] for th in thetas])
-        return float((weights @ vals.mean(axis=1)) / 2.0), 0.0
-    rng = np.random.default_rng(seed)
-    cos_th = rng.uniform(-1.0, 1.0, n_points)
-    phis = rng.uniform(0.0, 2 * np.pi, n_points)
-    vals = np.array([f(th, ph) for th, ph in zip(np.arccos(cos_th), phis)])
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(n_points))
-    return mean, stderr
+def sphere_quadrature(f, n_theta: int, n_phi: int) -> float:
+    """Average of f(theta, phi) over the uniform sphere: Gauss-Legendre in
+    cos(theta) with n_theta nodes times a trapezoid rule in phi with n_phi
+    points."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+    phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
+    vals = np.array([[f(th, ph) for ph in phis] for th in np.arccos(nodes)])
+    return float((weights @ vals.mean(axis=1)) / 2.0)

@@ -164,24 +164,14 @@ def qutrit_channel_general(rho: np.ndarray, t: float) -> np.ndarray:
 # --- fidelity --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlochAffineMap:
-    """Affine Bloch-vector action r_out = shrink @ r_in + translation."""
-
-    shrink: np.ndarray
-    translation: np.ndarray
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return self.shrink @ np.asarray(r, dtype=float) + self.translation
-
-
-def effective_qubit_map(t: float) -> BlochAffineMap:
+def effective_qubit_map(t: float) -> tuple[np.ndarray, np.ndarray]:
     """Effective qubit channel: |2> leakage replaced by the maximally mixed
-    state, leaving an anisotropic shrink plus a z-translation."""
+    state, leaving an anisotropic shrink plus a z-translation.  Returns
+    (shrink, translation), acting as r_out = shrink @ r_in + translation."""
     et, e2t = math.exp(-t), math.exp(-2.0 * t)
     shrink = np.diag([et, e2t, (2 * e2t + et) / 3.0])
     translation = np.array([0.0, 0.0, (e2t - et) / 3.0])
-    return BlochAffineMap(shrink, translation)
+    return shrink, translation
 
 
 def fidelity(theta: float, phi: float, t: float) -> float:
@@ -204,7 +194,8 @@ def fidelity_bloch(theta: float, phi: float, t: float) -> float:
             math.cos(theta),
         ]
     )
-    return 0.5 * (1.0 + r_in @ effective_qubit_map(t).apply(r_in))
+    shrink, translation = effective_qubit_map(t)
+    return 0.5 * (1.0 + r_in @ (shrink @ r_in + translation))
 
 
 def great_circle_fidelity(theta_c: float, phi_c: float, t: float) -> float:
@@ -452,16 +443,6 @@ def orthogonal_benchmark(
 def coherent_info_weak(t: float) -> float:
     """Small-t expansion of the best coherent information (t log t terms)."""
     return 1.0 - (t / 3.0) * (8.0 - LOG2_3 + 2.0 / math.log(2) - 2.0 * math.log2(t))
-
-
-def epsilon_weak(t: float) -> float:
-    """Small-t expansion of the optimal diagonal-family parameter."""
-    return 0.5 + (t / 6.0) * (1.0 - 1.0 / LOG2_3)
-
-
-def q_weak(t: float) -> float:
-    """Small-t expansion of the optimal ensemble weight."""
-    return 1.0 / 3.0 + (t / 108.0) * (5.0 + 7.0 / (4.0 * LOG2_3) + math.log(t))
 
 
 def capacity_weak(t: float) -> float:

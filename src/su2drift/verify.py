@@ -1,9 +1,10 @@
 """Named invariant checks backing the `verify` CLI command.
 
-Each engine invariant is written once, here; the test suite runs every
-quick check by name and calls the others rather than copy them.  Each
-check returns (ok, detail).  The quick subset excludes the
-large-sample Monte Carlo gates and the capacity optimizations.
+Each engine invariant is written once, here.  The test suite runs every
+quick check by name in test_verify, and each slow check from one
+acceptance criterion; no test restates a check.  Each check returns
+(ok, detail).  The quick subset excludes the large-sample Monte Carlo
+gates and the capacity optimizations.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def check_recoupling_unitarity(ctx):
         )
         if len(t12s) == len(t23s):
             worst = max(worst, np.abs(mat @ mat.T - np.eye(len(t12s))).max())
-    return worst < 1e-12, f"max unitarity defect {worst:.2e}"
+    return worst < 1e-13, f"max unitarity defect {worst:.2e}"
 
 
 def check_kernel_normalization(ctx):
@@ -149,7 +150,7 @@ def check_kernel_normalization(ctx):
 
 def check_coefficient_semigroup(ctx):
     worst = 0.0
-    for tj, (s, t) in itertools.product(range(0, 13), ((0.7, 1.6), (0.5, 0.5))):
+    for tj, (s, t) in itertools.product(range(0, 13), ((0.7, 1.6), (0.5, 0.5), (0.4, 1.1))):
         lhs = su2.heat_coefficient(tj, s) * su2.heat_coefficient(tj, t)
         worst = max(worst, abs(lhs - su2.heat_coefficient(tj, s + t)))
     return worst < 1e-15, f"max defect {worst:.2e}"
@@ -378,7 +379,7 @@ def check_three_qubit_objectives(ctx):
 def check_fidelity_identity(ctx):
     rng = np.random.default_rng(ctx["seed"] + 8)
     worst = 0.0
-    for _ in range(64):
+    for _ in range(100):
         th, ph, t = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 3)
         worst = max(
             worst,

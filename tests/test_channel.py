@@ -19,12 +19,6 @@ from su2drift.channel import (
 from conftest import VERIFY_SEED
 
 
-def _random_density(rng, dim):
-    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = x @ x.conj().T
-    return rho / np.trace(rho)
-
-
 def test_spec_validation():
     for n in (0, numerics.N_CAPS["apply"] + 1):
         with pytest.raises(ValueError):
@@ -106,7 +100,7 @@ def test_two_qubit_exact_weights():
 def test_channel_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(21)
     for n in range(1, 8):
-        rho = _random_density(rng, 2**n)
+        rho = verify._random_density(rng, 2**n)
         out = channel_apply(rho, ChannelSpec(n, 0.7))
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out, out.conj().T, atol=1e-12)
@@ -116,7 +110,7 @@ def test_channel_preserves_trace_and_hermiticity():
 def test_channel_at_t0_equals_twirl():
     rng = np.random.default_rng(22)
     for n in (2, 3, 4):
-        rho = _random_density(rng, 2**n)
+        rho = verify._random_density(rng, 2**n)
         out = channel_apply(rho, ChannelSpec(n, 0.0))
         tw = coupling.embed_blocks(coupling._twirl_linear(rho, n), n, 1)
         assert np.allclose(out, tw, atol=1e-12)
@@ -126,7 +120,7 @@ def test_channel_late_time_limit():
     # t -> infinity: block weights approach the Haar-average fixed point
     rng = np.random.default_rng(23)
     n = 3
-    rho = _random_density(rng, 2**n)
+    rho = verify._random_density(rng, 2**n)
     out = channel_apply(rho, ChannelSpec(n, 60.0))
     weights = np.einsum("jaa->j", coupling._twirl_linear(out, n)).real
     # fully decorrelated rotations depolarize every qubit: weights of I/2^N
@@ -137,7 +131,7 @@ def test_channel_late_time_limit():
 
 def test_single_qubit_is_depolarizing():
     rng = np.random.default_rng(24)
-    rho = _random_density(rng, 2)
+    rho = verify._random_density(rng, 2)
     out = channel_apply(rho, ChannelSpec(1, 0.3))
     assert np.allclose(out, np.eye(2) / 2, atol=1e-14)
 
@@ -154,7 +148,7 @@ def test_choi_properties():
             choi = choi_matrix(ChannelSpec(n, t))
             d = 2**n
             # contracting with a state reproduces the channel output
-            rho = _random_density(rng, d)
+            rho = verify._random_density(rng, d)
             out = np.einsum("kl,krlc->rc", rho, choi.reshape(d, d, d, d))
             assert np.allclose(out, channel_apply(rho, ChannelSpec(n, t)), atol=1e-12)
             assert choi.shape == (d * d, d * d)
@@ -197,22 +191,13 @@ def test_engine_tables_read_only():
             assert not coupling._raise_matrix(n, k).flags.writeable
 
 
-def test_monte_carlo_matches_pipeline_small():
-    rng = np.random.default_rng(26)
-    rho = _random_density(rng, 8)
-    spec = ChannelSpec(3, 0.5)
-    ref = channel_apply(rho, spec)
-    mc = monte_carlo_channel(rho, spec, 20000, seed=30)
-    assert mc.samples == 20000
-    assert mc.max_deviation_sigma(ref) < 4.0
-
-
 def test_monte_carlo_deterministic():
     rng = np.random.default_rng(27)
-    rho = _random_density(rng, 4)
+    rho = verify._random_density(rng, 4)
     spec = ChannelSpec(2, 0.3)
     a = monte_carlo_channel(rho, spec, 5000, seed=1)
     b = monte_carlo_channel(rho, spec, 5000, seed=1)
+    assert a.samples == b.samples == 5000
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.stderr_re, b.stderr_re)
 
@@ -251,7 +236,7 @@ def test_monte_carlo_slices_match_whole_chunks():
     # reproduce the same draws and the same pooled mean and spread
     rng = np.random.default_rng(29)
     for n in (2, 3, 4):
-        rho = _random_density(rng, 2**n)
+        rho = verify._random_density(rng, 2**n)
         got = monte_carlo_channel(rho, ChannelSpec(n, 0.5), 45000, seed=40 + n)
         mean, se_re, se_im = _monte_carlo_by_whole_chunks(rho, n, 0.5, 45000, 40 + n)
         assert np.abs(got.mean - mean).max() <= 1e-13, n
@@ -260,7 +245,7 @@ def test_monte_carlo_slices_match_whole_chunks():
     # a near-mixed input: every entry barely moves, so unshifted sums of x
     # and x^2 would cancel catastrophically (they miss by ~1e-2 here)
     d = 16
-    rho = (1 - 1e-6) * np.eye(d) / d + 1e-6 * _random_density(rng, d)
+    rho = (1 - 1e-6) * np.eye(d) / d + 1e-6 * verify._random_density(rng, d)
     got = monte_carlo_channel(rho, ChannelSpec(4, 0.5), 25000, seed=44)
     mean, se_re, se_im = _monte_carlo_by_whole_chunks(rho, 4, 0.5, 25000, 44)
     assert np.abs(got.mean - mean).max() <= 1e-15

@@ -10,15 +10,9 @@ from su2drift import serialize, three_qubit, verify
 from su2drift.cli import main
 
 
-def _random_density(rng, dim):
-    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = x @ x.conj().T
-    return rho / np.trace(rho)
-
-
 def test_density_json_roundtrip(tmp_path):
     rng = np.random.default_rng(40)
-    rho = _random_density(rng, 8)
+    rho = verify._random_density(rng, 8)
     path = tmp_path / "rho.json"
     serialize.save_density(str(path), rho)
     back = serialize.load_density(str(path))
@@ -82,7 +76,7 @@ def test_cli_kernel_sample_csv_and_manifest(tmp_path, capsys):
 
 def test_cli_channel_apply_roundtrip(tmp_path, capsys):
     rng = np.random.default_rng(42)
-    rho = _random_density(rng, 4)
+    rho = verify._random_density(rng, 4)
     src = tmp_path / "in.json"
     dst = tmp_path / "out.json"
     serialize.save_density(str(src), rho)

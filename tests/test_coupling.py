@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from su2drift import coupling, su2
+from su2drift import coupling, su2, verify
 from su2drift.coupling import (
     CouplingPath,
     _twirl_linear,
@@ -18,12 +18,6 @@ from su2drift.coupling import (
     raise_convention,
     total_j_values,
 )
-
-
-def _random_density(rng, dim):
-    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = x @ x.conj().T
-    return rho / np.trace(rho)
 
 
 def test_total_j_values():
@@ -116,7 +110,7 @@ def test_embedded_projector_orthogonality():
 def test_twirl_output_structure():
     rng = np.random.default_rng(11)
     for n in (2, 3, 4):
-        rho = _random_density(rng, 2**n)
+        rho = verify._random_density(rng, 2**n)
         blocks = _twirl_linear(rho, n)
         conv = convention(n, 1)
         assert blocks.shape == (len(conv.tjs), len(conv.paths), len(conv.paths))
@@ -138,7 +132,7 @@ def test_twirl_output_structure():
 def test_twirl_matches_haar_average():
     rng = np.random.default_rng(12)
     n = 2
-    rho = _random_density(rng, 4)
+    rho = verify._random_density(rng, 4)
     acc = np.zeros((4, 4), complex)
     m = 40000
     q = su2.haar_quat(rng, m)
@@ -151,7 +145,7 @@ def test_twirl_matches_haar_average():
 def test_block_weights_convention_independent():
     rng = np.random.default_rng(17)
     for n in (3, 4):
-        rho = _random_density(rng, 2**n)
+        rho = verify._random_density(rng, 2**n)
         blocks = _twirl_linear(rho, n)
         w1 = np.einsum("jaa->j", blocks).real
         w2 = np.einsum("jaa->j", raise_convention(blocks, n, 1)).real
@@ -162,7 +156,7 @@ def test_convention_shift_matches_dense():
     # raising keeps the operator, and each V_J is orthogonal on the members of J
     rng = np.random.default_rng(15)
     for n in (3, 4, 5):
-        rho = _random_density(rng, 2**n)
+        rho = verify._random_density(rng, 2**n)
         blocks = _twirl_linear(rho, n)
         dense0 = embed_blocks(blocks, n, 1)
         for k in range(1, n - 1):
@@ -176,7 +170,7 @@ def test_convention_shift_matches_dense():
 
 def test_convention_shift_bounds():
     rng = np.random.default_rng(16)
-    rho = _random_density(rng, 8)
+    rho = verify._random_density(rng, 8)
     blocks = _twirl_linear(rho, 3)
     top = raise_convention(blocks, 3, 1)
     with pytest.raises(ValueError):

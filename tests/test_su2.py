@@ -71,22 +71,6 @@ def test_character_orthogonality():
             assert val == pytest.approx(1.0 if tja == tjb else 0.0, abs=1e-7)
 
 
-def test_heat_coefficient_semigroup():
-    for tj in range(0, 10):
-        assert su2.heat_coefficient(tj, 0.4) * su2.heat_coefficient(
-            tj, 1.1
-        ) == pytest.approx(su2.heat_coefficient(tj, 1.5), abs=1e-15)
-
-
-def test_kernel_normalization():
-    xi = np.linspace(0.0, 2 * np.pi, 30001)
-    for t in (0.1, 1.0, 10.0):
-        total = np.trapezoid(
-            su2.haar_class_density(xi) * su2.heat_kernel_density(t, xi), xi
-        )
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-
 def test_kernel_density_matches_character_sum():
     # the Chebyshev recurrence reorders the sum of the characters, so the
     # two agree to rounding relative to the density's peak
@@ -133,13 +117,6 @@ def test_truncation_bound_is_sufficient():
         assert tail < 1e-10
 
 
-def test_haar_class_distribution():
-    rng = np.random.default_rng(5)
-    xi = su2.class_angle_of_quat(su2.haar_quat(rng, 50000))
-    stat = stats.kstest(xi, lambda x: (x - np.sin(x)) / (2 * np.pi))
-    assert stat.pvalue > 0.01
-
-
 def test_heat_kernel_sampling_matches_density():
     rng = np.random.default_rng(6)
     t = 0.7
@@ -149,19 +126,6 @@ def test_heat_kernel_sampling_matches_density():
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2 * np.diff(grid))])
     cdf /= cdf[-1]
     stat = stats.kstest(xi, lambda x: np.interp(x, grid, cdf))
-    assert stat.pvalue > 0.01
-
-
-def test_heat_kernel_sampling_semigroup():
-    rng = np.random.default_rng(7)
-    n = 50000
-    prod = su2.quat_mul(
-        su2.heat_kernel_quat(0.6, rng, n), su2.heat_kernel_quat(0.6, rng, n)
-    )
-    direct = su2.heat_kernel_quat(1.2, rng, n)
-    stat = stats.ks_2samp(
-        su2.class_angle_of_quat(prod), su2.class_angle_of_quat(direct)
-    )
     assert stat.pvalue > 0.01
 
 

@@ -136,22 +136,6 @@ def test_sixj_large_arguments():
     assert got == pytest.approx(ref, abs=1e-13)
 
 
-def test_recoupling_u_unitarity():
-    t1, t2, tJ, t3 = 2, 1, 3, 2
-    t12s = [t for t in range(abs(t1 - t2), t1 + t2 + 1, 2) if triangle_ok(t, t3, tJ)]
-    t23s = [t for t in range(abs(t2 - t3), t2 + t3 + 1, 2) if triangle_ok(t1, t, tJ)]
-    mat = np.array(
-        [
-            [
-                recoupling_u(t1, t2, tJ, t3, t12, t23)
-                for t23 in t23s
-            ]
-            for t12 in t12s
-        ]
-    )
-    assert np.allclose(mat @ mat.T, np.eye(len(t12s)), atol=1e-13)
-
-
 def test_recoupling_u_resolves_basis_change():
     # U must equal the overlap of the two coupled three-spin bases.
     from su2drift.coupling import CouplingPath, coupled_basis_vector
@@ -166,4 +150,3 @@ def test_recoupling_u_resolves_basis_change():
             vb = coupled_basis_vector(3, tJ, tJ, b)
             u = recoupling_u(t1, t2, tJ, t3, t12, t23)
             assert np.vdot(vb, va) == pytest.approx(u, abs=1e-13)
-
