@@ -34,6 +34,14 @@ def _time(value: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _count(value: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _write_manifest(csv_path: str, args_ns, seed, extra=None):
     manifest = {
         "command": " ".join(sys.argv),
@@ -160,15 +168,15 @@ def cmd_three(args) -> int:
         for t in ts:
             rows.append((t, three_qubit.average_fidelity(t)))
     elif args.quantity == "coherent-info":
-        header = "t,coherent_info,epsilon"
+        header = "t,coherent_info,epsilon,nfev"
         for t in ts:
             r = three_qubit.maximize_coherent_info(t, cfg)
-            rows.append((t, r.value, r.epsilon))
+            rows.append((t, r.value, r.epsilon, r.nfev))
     elif args.quantity == "capacity":
-        header = "t,capacity,q,theta"
+        header = "t,capacity,q,theta,nfev"
         for t in ts:
             r = three_qubit.maximize_holevo(t, config=cfg, general_search=False)
-            rows.append((t, r.capacity, r.q, r.theta))
+            rows.append((t, r.capacity, r.q, r.theta, r.nfev))
     else:  # orthogonal
         header = "t,capacity,best_orthogonal,worst_orthogonal"
         for t in ts:
@@ -273,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("avg-fidelity", "coherent-info", "capacity", "orthogonal"))
     tw.add_argument("--t-from", type=_time, required=True)
     tw.add_argument("--t-to", type=_time, required=True)
-    tw.add_argument("--t-steps", type=int, default=21)
+    tw.add_argument("--t-steps", type=_count, default=21)
     tw.add_argument("--out", type=str, default=None)
     tw.add_argument("--restarts", type=int, default=8)
     tw.add_argument("--opt-tol", type=float, default=1e-9)

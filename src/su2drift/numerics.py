@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
+from scipy.linalg import lapack
 
 #: Shared eigenvalue clamp used before entropies and PSD checks.
 EIG_CLAMP = 1e-12
@@ -31,6 +32,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("need at least one restart")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
 
@@ -79,11 +82,23 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 
 def _entropy_fast(rho: np.ndarray) -> float:
-    """Entropy without precondition checks, for optimizer hot paths;
-    eigenvalues <= EIG_CLAMP, tiny negatives included, contribute 0."""
-    evals = np.linalg.eigvalsh(rho)
-    nz = evals[evals > EIG_CLAMP]
-    return float(-(nz * np.log2(nz)).sum())
+    """Entropy without precondition checks, for optimizer hot paths: one
+    LAPACK Hermitian eigensolve of the lower triangle, as eigvalsh does,
+    without numpy's per-call wrapping."""
+    evals, _, info = lapack.zheevd(rho, compute_v=0, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"Hermitian eigensolve failed (info {info})")
+    return _entropy_bits(evals.tolist())
+
+
+def _entropy_bits(evals) -> float:
+    """-sum x log2 x in bits over a spectrum given as floats; eigenvalues
+    <= EIG_CLAMP, tiny negatives included, contribute 0."""
+    s = 0.0
+    for x in evals:
+        if x > EIG_CLAMP:
+            s -= x * math.log2(x)
+    return s
 
 
 @dataclass
@@ -145,9 +160,12 @@ def bisect_zero(g, lo: float, hi: float, tol: float = 1e-3) -> float:
     return 0.5 * (lo + hi)
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    z = np.exp(x - np.max(x))
-    return z / z.sum()
+def softmax(x) -> list:
+    """Normalised exponentials of a sequence of floats, as a list."""
+    top = max(x)
+    z = [math.exp(v - top) for v in x]
+    total = sum(z)
+    return [v / total for v in z]
 
 
 def sphere_quadrature(f, n_theta: int, n_phi: int) -> float:

@@ -7,18 +7,22 @@ subspace, so a twirled state is effectively a qutrit in the ordered basis
 j12 = 0) and |1> (j12 = 1), and |2> stands for the symmetric block.  The
 channel preserves no coherence between the qubit subspace and |2>.
 
-The objectives apply the channel as one 9 x 9 superoperator product on
-vec(rho) and take output entropies in closed form from the qubit block and
-the |2> weight.  The entropy exchange is the entropy of
-W_kl = Tr(E_k rho E_l^dag) over the Kraus set {E_k} (Schumacher, PRA 54,
-2614 (1996)), read off vec(rho) by one precomputed 9 x m^2 product.  Each
-public quantity checks its input once and calls one unchecked core, which
-the optimizers call directly.
+The channel reads five real numbers of its input, the coordinates
+(r00, r11, r22, Re r01, Im r01), and maps them linearly to the output's
+qubit block (a, d, b) and |2> weight, whose spectrum is in closed form.  The
+objectives therefore run on Python floats: a cached per-t coefficient map
+read off the superoperator, a few multiplies per state and math.log2.  The
+entropy exchange is the entropy of W_kl = Tr(E_k rho E_l^dag) over the
+Kraus set {E_k} (Schumacher, PRA 54, 2614 (1996)), read off vec(rho) by one
+precomputed 9 x m^2 product and eigensolved in numerics._entropy_fast.
+Each public quantity checks its input once and calls one unchecked core,
+which the optimizers call directly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,7 +48,22 @@ def pure_qubit_state(theta, phi) -> np.ndarray:
     return psi[..., :, None] * psi[..., None, :].conj()
 
 
+def _pure_qubit_coords(theta: float, phi: float) -> tuple:
+    """Coordinates (r00, r11, r22, Re r01, Im r01) of pure_qubit_state."""
+    z, half_sin = math.cos(theta), 0.5 * math.sin(theta)
+    return (0.5 * (1.0 + z), 0.5 * (1.0 - z), 0.0, half_sin * math.cos(phi),
+            -half_sin * math.sin(phi))
+
+
+def _coords(rho) -> tuple:
+    """The five real numbers of a Hermitian 3x3 input that the channel
+    reads: (r00, r11, r22, Re r01, Im r01)."""
+    r = np.asarray(rho).ravel().tolist()
+    return (r[0].real, r[4].real, r[8].real, r[1].real, r[1].imag)
+
+
 SYMMETRIC_STATE = np.diag([0.0, 0.0, 1.0]).astype(complex)
+SYMMETRIC_COORDS = (0.0, 0.0, 1.0, 0.0, 0.0)
 
 
 def _qutrit_channel_linear(rho: np.ndarray, t: float) -> np.ndarray:
@@ -97,19 +116,29 @@ def qutrit_choi(t: float) -> np.ndarray:
     return out
 
 
-def _output_entropy(out: np.ndarray) -> np.ndarray:
-    """Entropies in bits of channel outputs vectorised along the last axis.
+@lru_cache(maxsize=64)
+def _output_map(t: float) -> tuple:
+    """Coefficients of the channel on the coordinates of _coords, read off
+    the superoperator as float rows: (a, d, |2> weight) from (r00, r11, r22),
+    then (Re b, Im b) from (Re r01, Im r01), where [[a, b], [b*, d]] is the
+    output's qubit block.  Populations and qubit coherence do not mix."""
+    s = _superoperator(t)
+    pops = s[np.ix_([0, 4, 8], [0, 4, 8])].real.T  # row: output, column: input
+    coh = np.array([s[1, 1] + s[3, 1], 1j * (s[1, 1] - s[3, 1])])  # b of Re, Im r01 = 1
+    return tuple(map(tuple, [*pops.tolist(), coh.real.tolist(), coh.imag.tolist()]))
 
-    Outputs keep no coherence with |2>, so their spectrum is the 2x2 qubit
-    block's (a+d)/2 +- sqrt(((a-d)/2)^2 + |b|^2) plus the |2> weight;
-    eigenvalues <= numerics.EIG_CLAMP contribute 0.
-    """
-    evals = out[..., ::4].real.copy()  # the diagonal a, d and the |2> weight
-    mean = 0.5 * (evals[..., 0] + evals[..., 1])
-    r = np.hypot(0.5 * (evals[..., 0] - evals[..., 1]), np.abs(out[..., 1]))
-    evals[..., 0], evals[..., 1] = mean + r, mean - r
-    evals[evals <= numerics.EIG_CLAMP] = 1.0  # contributes 1 log 1 = 0
-    return -(evals * np.log2(evals)).sum(axis=-1)
+
+def _output_entropy(out_map: tuple, coords) -> float:
+    """Entropy in bits of the channel output of one input, from its
+    coordinates: the qubit block's (a+d)/2 +- sqrt(((a-d)/2)^2 + |b|^2)
+    plus the |2> weight."""
+    (a0, a1, a2), (d0, d1, d2), (w0, w1, w2), (re_u, re_v), (im_u, im_v) = out_map
+    r00, r11, r22, u, v = coords
+    a = a0 * r00 + a1 * r11 + a2 * r22
+    d = d0 * r00 + d1 * r11 + d2 * r22
+    re, im = re_u * u + re_v * v, im_u * u + im_v * v
+    mean, r = 0.5 * (a + d), math.hypot(0.5 * (a - d), re, im)
+    return numerics._entropy_bits((mean + r, mean - r, w0 * r00 + w1 * r11 + w2 * r22))
 
 
 @lru_cache(maxsize=64)
@@ -125,10 +154,10 @@ def kraus_operators(t: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _exchange_map(t: float) -> np.ndarray:
-    """Read-only (9, m, m) map X with W = vec(rho) . X for the entropy
-    exchange: X[ab, k, l] = sum_i E_k[i, a] conj(E_l[i, b])."""
+    """Read-only (9, m^2) map X with vec(W) = vec(rho) @ X for the entropy
+    exchange, vec row-major: X[ab, km + l] = sum_i E_k[i, a] conj(E_l[i, b])."""
     ops = kraus_operators(t)
-    x = np.einsum("kia,lib->abkl", ops, ops.conj()).reshape(9, len(ops), len(ops))
+    x = np.einsum("kia,lib->abkl", ops, ops.conj()).reshape(9, len(ops) ** 2)
     x.setflags(write=False)
     return x
 
@@ -226,11 +255,12 @@ def coherent_information(rho: np.ndarray, t: float) -> float:
 
 
 def _ci_fast(rho: np.ndarray, t: float) -> float:
-    """Coherent information without validation, for optimizer hot paths."""
-    vec = np.reshape(rho, 9)
-    exchange = _exchange_map(t)
-    w = (vec @ exchange.reshape(9, -1)).reshape(exchange.shape[1:])
-    return float(_output_entropy(vec @ _superoperator(t))) - numerics._entropy_fast(w)
+    """Coherent information without validation, for optimizer hot paths;
+    rho may be the 3x3 matrix or its row-major vec."""
+    vec = rho.ravel()
+    w = vec @ _exchange_map(t)
+    m = math.isqrt(w.size)  # W is m x m, m the Kraus rank
+    return _output_entropy(_output_map(t), _coords(vec)) - numerics._entropy_fast(w.reshape(m, m))
 
 
 def _diagonal_family_state(eps: float) -> np.ndarray:
@@ -270,10 +300,12 @@ def maximize_coherent_info(
     eps, family_val = float(res.x), float(-res.fun)
 
     def objective(p):
-        x, y, z = p / (1.0 + np.linalg.norm(p))  # open unit ball
-        state = np.zeros((3, 3), dtype=complex)
-        state[:2, :2] = 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
-        return _ci_fast(state, t)
+        px, py, pz = p.tolist()
+        scale = 1.0 + math.sqrt(px * px + py * py + pz * pz)  # open unit ball
+        x, y, z = px / scale, py / scale, pz / scale
+        r01 = 0.5 * complex(x, -y)
+        return _ci_fast(np.array([0.5 * (1 + z), r01, 0, r01.conjugate(), 0.5 * (1 - z),
+                                  0, 0, 0, 0]), t)
 
     general = numerics.nelder_mead_maximize(objective, np.zeros(3), config)
     best = max(family_val, general.fun, 0.0)
@@ -319,16 +351,16 @@ def holevo_chi(ensemble: Ensemble, t: float) -> float:
     """Holevo quantity of an ensemble through the channel, in bits."""
     t = numerics.validate_time(t)
     ensemble.validate()
-    return _chi_fast(ensemble.weights, ensemble.states, t)
+    return _chi_fast(ensemble.weights, [_coords(s) for s in ensemble.states], t)
 
 
-def _chi_fast(weights, states, t: float) -> float:
-    """Holevo quantity without validation, for optimizer hot paths: every
-    member through one superoperator product, their average by linearity."""
-    w = np.asarray(weights, dtype=float)
-    outs = np.reshape(states, (-1, 9)) @ _superoperator(t)
-    ent = _output_entropy(np.concatenate(((w @ outs)[None], outs)))
-    return float(ent[0] - w @ ent[1:])
+def _chi_fast(weights, coords, t: float) -> float:
+    """Holevo quantity without validation, for optimizer hot paths: each
+    member given by its _coords, their average by linearity."""
+    out_map = _output_map(t)
+    members = sum(w * _output_entropy(out_map, c) for w, c in zip(weights, coords))
+    avg = [sum(map(operator.mul, weights, column)) for column in zip(*coords)]
+    return _output_entropy(out_map, avg) - members
 
 
 def _family_ensemble(q: float, theta: float) -> Ensemble:
@@ -372,9 +404,10 @@ def maximize_holevo(
         config = numerics.OptimizerConfig(restarts=16, max_iters=2500, seed=5)
 
     def family_obj(p):
-        q = 0.5 * _sigmoid(p[0])
-        ens = _family_ensemble(q, p[1])
-        return _chi_fast(ens.weights, ens.states, t)
+        x, theta = p.tolist()
+        q = 0.5 * _sigmoid(x)
+        pair = _pure_qubit_coords(theta, 0.0), _pure_qubit_coords(-theta, 0.0)
+        return _chi_fast((q, q, 1.0 - 2.0 * q), (*pair, SYMMETRIC_COORDS), t)
 
     fam = numerics.nelder_mead_maximize(family_obj, np.array([0.0, math.pi / 2]), config)
     q = 0.5 * _sigmoid(fam.x[0])
@@ -385,12 +418,12 @@ def maximize_holevo(
     general_c = family_c
     if general_search:
         n_qb = 4  # qubit-block states; |2> is the fifth
-        sym = SYMMETRIC_STATE[None]
 
         def general_obj(p):
-            weights = numerics.softmax(np.concatenate((p[:n_qb], [0.0])))
-            states = np.concatenate((pure_qubit_state(p[n_qb::2], p[n_qb + 1::2]), sym))
-            return _chi_fast(weights, states, t)
+            p = p.tolist()
+            weights = numerics.softmax(p[:n_qb] + [0.0])
+            coords = [_pure_qubit_coords(*a) for a in zip(p[n_qb::2], p[n_qb + 1::2])]
+            return _chi_fast(weights, coords + [SYMMETRIC_COORDS], t)
 
         x0 = np.zeros(3 * n_qb)  # weights, then (theta, phi) pairs
         x0[n_qb::2] = math.pi / 2 + 0.3 * np.arange(n_qb)
@@ -425,12 +458,11 @@ def orthogonal_benchmark(
         config = numerics.OptimizerConfig(restarts=8, seed=3)
     results = []
     for phi in (0.0, math.pi / 2):
-        pair = pure_qubit_state(np.array([math.pi / 2, -math.pi / 2]), phi)
-        states = [*pair, SYMMETRIC_STATE]
+        coords = [_pure_qubit_coords(th, phi) for th in (math.pi / 2, -math.pi / 2)]
+        coords.append(SYMMETRIC_COORDS)
 
-        def obj(p, states=states):
-            weights = numerics.softmax(np.concatenate((p, [0.0])))
-            return _chi_fast(weights, states, t)
+        def obj(p, coords=coords):
+            return _chi_fast(numerics.softmax(p.tolist() + [0.0]), coords, t)
 
         res = numerics.nelder_mead_maximize(obj, np.zeros(2), config)
         results.append(res.fun)

@@ -350,21 +350,33 @@ def check_three_qubit_closed_forms(ctx):
 
 def check_three_qubit_objectives(ctx):
     """The optimizer cores against references built from the public
-    qutrit_channel and von_neumann_entropy; pure qubit-block inputs give
-    rank-deficient outputs at t = 0."""
+    qutrit_channel and von_neumann_entropy.  Holevo ensembles mix pure
+    qubit-block states, |2> and pure qutrit states with |2> coherence, which
+    the channel erases; pure qubit-block inputs give rank-deficient outputs
+    at t = 0."""
     rng = np.random.default_rng(ctx["seed"] + 12)
     tq, ent = three_qubit, numerics.von_neumann_entropy
-    worst = np.zeros(3)  # superoperator, Holevo, coherent information
+    worst = np.zeros(3)  # channel maps, Holevo, coherent information
     for t, rank in itertools.product((0.0, 0.05, 0.5, 2.0), (1, 2) * 6):
         rho = _random_density(rng, 3)
+        ref = tq.qutrit_channel(rho, t)
         out = np.reshape(rho, 9) @ tq._superoperator(t)
-        d_s = np.abs(out - tq.qutrit_channel(rho, t).ravel()).max()
-        w = numerics.softmax(rng.normal(size=5))
+        *pops, re_b, im_b = tq._output_map(t)
+        c = tq._coords(rho)
+        mapped = [np.dot(row, c[:3]) for row in pops]  # output r00, r11, r22
+        mapped.append(complex(np.dot(re_b, c[3:]), np.dot(im_b, c[3:])))  # output r01
+        d_s = max(np.abs(out - ref.ravel()).max(),
+                  np.abs(np.array(mapped) - ref.ravel()[[0, 4, 8, 1]]).max())
         angles = rng.uniform(0, math.pi, 4), rng.uniform(0, 2 * math.pi, 4)
-        states = [*tq.pure_qubit_state(*angles), tq.SYMMETRIC_STATE]
+        psi = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        states = [*tq.pure_qubit_state(*angles), tq.SYMMETRIC_STATE,
+                  *(np.outer(v, v.conj()) for v in psi)]
+        w = numerics.softmax(rng.normal(size=len(states)))
         s_out = [ent(tq.qutrit_channel(s, t)) for s in states]
         s_avg = ent(tq.qutrit_channel(sum(p * s for p, s in zip(w, states)), t))
-        d_chi = abs(tq._chi_fast(w, states, t) - (s_avg - w @ s_out))
+        d_chi = abs(tq._chi_fast(w, [tq._coords(s) for s in states], t)
+                    - (s_avg - np.dot(w, s_out)))
         x = rng.normal(size=(2, rank)) + 1j * rng.normal(size=(2, rank))
         rho = np.zeros((3, 3), dtype=complex)
         rho[:2, :2] = x @ x.conj().T / np.sum(np.abs(x) ** 2)
@@ -373,7 +385,7 @@ def check_three_qubit_objectives(ctx):
         d_ci = abs(tq._ci_fast(rho, t) - ent(tq.qutrit_channel(rho, t)) + ent(w_env))
         worst = np.maximum(worst, [d_s, d_chi, d_ci])
     ok = bool(np.all(worst <= [1e-14, 1e-12, 1e-12]))
-    return ok, "max defect: superoperator {:.1e}, Holevo {:.1e}, CI {:.1e}".format(*worst)
+    return ok, "max defect: channel maps {:.1e}, Holevo {:.1e}, CI {:.1e}".format(*worst)
 
 
 def check_fidelity_identity(ctx):

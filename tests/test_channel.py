@@ -16,8 +16,6 @@ from su2drift.channel import (
     r_coefficient,
 )
 
-from conftest import VERIFY_SEED
-
 
 def test_spec_validation():
     for n in (0, numerics.N_CAPS["apply"] + 1):
@@ -134,11 +132,6 @@ def test_single_qubit_is_depolarizing():
     rho = verify._random_density(rng, 2)
     out = channel_apply(rho, ChannelSpec(1, 0.3))
     assert np.allclose(out, np.eye(2) / 2, atol=1e-14)
-
-
-def test_channel_composition_semigroup():
-    ok, detail = verify.check_channel_semigroup({"seed": VERIFY_SEED})
-    assert ok, detail
 
 
 def test_choi_properties():

@@ -121,6 +121,14 @@ def test_cli_three_sweep(tmp_path, capsys):
     vals = [float(line.split(",")[1]) for line in lines[1:]]
     assert vals == sorted(vals, reverse=True)
     assert (tmp_path / "avg.manifest.json").exists()
+    # the optimiser sweeps report their objective evaluations per row
+    dst = tmp_path / "cap.csv"
+    code = main(f"three sweep --quantity capacity --t-from 0.5 --t-to 1 --t-steps 2 "
+                f"--restarts 1 --out {dst}".split())
+    assert code == 0
+    lines = dst.read_text().strip().split("\n")
+    assert lines[0] == "t,capacity,q,theta,nfev"
+    assert len(lines) == 3 and all(int(line.split(",")[-1]) > 1 for line in lines[1:])
 
 
 def _stub_checks(monkeypatch, *extra):
@@ -204,7 +212,7 @@ def test_cli_sweep_manifest_records_seed_used(tmp_path, capsys, monkeypatch):
 
     def fake_maximize(t, config=None):
         used.append(config.seed)
-        return three_qubit.CoherentInfoResult(0.0, 0.5, 0.0, True, 0)
+        return three_qubit.CoherentInfoResult(0.0, 0.5, 0.0, True, 17)
 
     monkeypatch.setattr(three_qubit, "maximize_coherent_info", fake_maximize)
     dst = tmp_path / "ci.csv"
@@ -219,6 +227,9 @@ def test_cli_sweep_manifest_records_seed_used(tmp_path, capsys, monkeypatch):
         manifest = json.loads((tmp_path / "ci.manifest.json").read_text())
         assert manifest["seed"] == expect
         assert used == [expect, expect]
+        lines = dst.read_text().strip().split("\n")
+        assert lines[0] == "t,coherent_info,epsilon,nfev"
+        assert [line.split(",")[-1] for line in lines[1:]] == ["17", "17"]
 
 
 def test_cli_usage_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -245,6 +256,9 @@ def test_cli_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         assert main(["channel", "mc-check", "--n", "2", "--t", bad]) == 2
         assert main(["channel", "choi", "--n", "2", "--t", bad,
                      "--out", str(dst)]) == 2
+    # so is an empty or non-integer sweep
+    for bad in ("0", "-3", "2.5"):
+        assert main(sweep.split() + ["--t-from", "0", "--t-to", "1", "--t-steps", bad]) == 2
     # so is a non-finite class angle
     for bad in ("nan", "inf"):
         assert main(["kernel", "eval", "--t", "0.5", "--xi", bad]) == 2

@@ -75,12 +75,6 @@ def test_fidelity_at_t0_is_one():
         assert tq.fidelity(th, ph, 0.0) == pytest.approx(1.0, abs=1e-13)
 
 
-def test_average_fidelity_formula_vs_quadrature():
-    for t in (0.2, 1.0):
-        val = numerics.sphere_quadrature(lambda th, ph: tq.fidelity(th, ph, t), 24, 48)
-        assert val == pytest.approx(tq.average_fidelity(t), abs=1e-10)
-
-
 def test_average_fidelity_monotone_decreasing():
     ts = np.linspace(0.0, 3.0, 40)
     vals = [tq.average_fidelity(t) for t in ts]
