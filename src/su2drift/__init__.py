@@ -44,7 +44,6 @@ from .three_qubit import (
 )
 from .numerics import (
     OptimizerConfig,
-    bisect_zero,
     nelder_mead_maximize,
     sphere_quadrature,
     von_neumann_entropy,

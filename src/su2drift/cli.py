@@ -173,14 +173,14 @@ def cmd_three(args) -> int:
             r = three_qubit.maximize_coherent_info(t, cfg)
             rows.append((t, r.value, r.epsilon, r.nfev))
     elif args.quantity == "capacity":
-        header = "t,capacity,q,theta,nfev"
+        header = "t,capacity,upper_bound,gap,q,theta,nfev"
         for t in ts:
-            r = three_qubit.maximize_holevo(t, config=cfg, general_search=False)
-            rows.append((t, r.capacity, r.q, r.theta, r.nfev))
+            r = three_qubit.maximize_holevo(t, config=cfg)
+            rows.append((t, r.capacity, r.upper_bound, r.gap, r.q, r.theta, r.nfev))
     else:  # orthogonal
         header = "t,capacity,best_orthogonal,worst_orthogonal"
         for t in ts:
-            r = three_qubit.maximize_holevo(t, config=cfg, general_search=False)
+            r = three_qubit.maximize_holevo(t, config=cfg)
             best, worst = three_qubit.orthogonal_benchmark(t, cfg)
             rows.append((t, r.capacity, best, worst))
     out = args.out or f"{args.quantity}.csv"

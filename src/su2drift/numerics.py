@@ -146,20 +146,6 @@ def nelder_mead_maximize(f, x0, config: OptimizerConfig = OptimizerConfig()) -> 
     return OptimizeResult(best_x, best_f, converged, config.restarts, nfev)
 
 
-def bisect_zero(g, lo: float, hi: float, tol: float = 1e-3) -> float:
-    """Smallest point where g drops to <= 0, assuming g(lo) > 0 >= g(hi)."""
-    g_lo, g_hi = g(lo), g(hi)
-    if not (g_lo > 0 >= g_hi):
-        raise ValueError(f"invalid bracket: g({lo})={g_lo}, g({hi})={g_hi}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def softmax(x) -> list:
     """Normalised exponentials of a sequence of floats, as a list."""
     top = max(x)

@@ -4,7 +4,8 @@ Each engine invariant is written once, here.  The test suite runs every
 quick check by name in test_verify, and each slow check from one
 acceptance criterion; no test restates a check.  Each check returns
 (ok, detail).  The quick subset excludes the large-sample Monte Carlo
-gates and the capacity optimizations.
+gates and the optimizer endpoint checks; it keeps the Holevo certificate,
+whose family searches take a fraction of a second.
 """
 
 from __future__ import annotations
@@ -388,6 +389,41 @@ def check_three_qubit_objectives(ctx):
     return ok, "max defect: channel maps {:.1e}, Holevo {:.1e}, CI {:.1e}".format(*worst)
 
 
+def check_holevo_upper_bound(ctx):
+    """maximize_holevo's certificate: 0 <= gap <= 1e-6, and the bound
+    _holevo_upper_bound against a dense oracle.  At the family optimum the
+    largest divergence sits on the members themselves, so the oracle also
+    runs at the same pair with weight 1/4 each, where the maximiser lies
+    elsewhere on the phi = 0 meridian.  No pure qutrit state off that
+    meridian, with weight w in (0, 1) on the qubit block, has a relative
+    entropy D(E(psi) || E(rho_bar)) above the bound + 1e-12, D taken from
+    qutrit_channel, von_neumann_entropy and an eigh-based log."""
+    tq = three_qubit
+    thetas = (np.arange(8) + 0.5) * math.pi / 8
+    phis = (np.arange(16) + 0.5) * math.pi / 8
+    gaps, worst_excess = [], -math.inf
+    for t in (0.0, 0.1, 0.5, 1.5):
+        r = tq.maximize_holevo(t)
+        gaps.append(r.gap)
+        for q in (r.q, 0.25):
+            ens = tq._family_ensemble(q, r.theta)
+            bound = tq._holevo_upper_bound(
+                ens.weights, [tq._coords(s) for s in ens.states], t)
+            avg = sum(w * s for w, s in zip(ens.weights, ens.states))
+            evals, vecs = np.linalg.eigh(tq.qutrit_channel(avg, t))  # full rank here
+            log_tau = (vecs * np.log2(evals)) @ vecs.conj().T
+            for th, ph, w in itertools.product(thetas, phis, (0.5, 0.999)):
+                psi = [math.sqrt(w) * math.cos(th / 2),
+                       math.sqrt(w) * math.sin(th / 2) * complex(math.cos(ph), math.sin(ph)),
+                       math.sqrt(1 - w)]
+                out = tq.qutrit_channel(np.outer(psi, np.conj(psi)), t)
+                d = -numerics.von_neumann_entropy(out) - np.trace(out @ log_tau).real
+                worst_excess = max(worst_excess, d - bound)
+    ok = 0.0 <= min(gaps) and max(gaps) <= 1e-6 and worst_excess <= 1e-12
+    return ok, (f"gap {min(gaps):.1e} to {max(gaps):.1e}, "
+                f"max grid D - upper bound {worst_excess:.1e}")
+
+
 def check_fidelity_identity(ctx):
     rng = np.random.default_rng(ctx["seed"] + 8)
     worst = 0.0
@@ -451,7 +487,7 @@ def check_coherent_info_endpoints(ctx):
 
 
 def check_capacity_endpoint(ctx):
-    r = three_qubit.maximize_holevo(0.0, general_search=False)
+    r = three_qubit.maximize_holevo(0.0)
     ok = (
         abs(r.capacity - three_qubit.LOG2_3) < 1e-6
         and abs(r.q - 1.0 / 3.0) < 1e-3
@@ -482,6 +518,7 @@ CHECKS = [
     ("werner_shrink_law", True, check_werner_shrink),
     ("three_qubit_closed_forms", True, check_three_qubit_closed_forms),
     ("three_qubit_objectives", True, check_three_qubit_objectives),
+    ("holevo_upper_bound", True, check_holevo_upper_bound),
     ("fidelity_identity", True, check_fidelity_identity),
     ("choi_psd", True, check_choi_psd),
     ("haar_class_ks", False, check_haar_class_ks),

@@ -121,14 +121,17 @@ def test_cli_three_sweep(tmp_path, capsys):
     vals = [float(line.split(",")[1]) for line in lines[1:]]
     assert vals == sorted(vals, reverse=True)
     assert (tmp_path / "avg.manifest.json").exists()
-    # the optimiser sweeps report their objective evaluations per row
+    # the capacity sweep reports its certificate and objective evaluations per row
     dst = tmp_path / "cap.csv"
     code = main(f"three sweep --quantity capacity --t-from 0.5 --t-to 1 --t-steps 2 "
                 f"--restarts 1 --out {dst}".split())
     assert code == 0
     lines = dst.read_text().strip().split("\n")
-    assert lines[0] == "t,capacity,q,theta,nfev"
+    assert lines[0] == "t,capacity,upper_bound,gap,q,theta,nfev"
     assert len(lines) == 3 and all(int(line.split(",")[-1]) > 1 for line in lines[1:])
+    for line in lines[1:]:
+        capacity, upper, gap = map(float, line.split(",")[1:4])
+        assert upper >= capacity and gap == upper - capacity
 
 
 def _stub_checks(monkeypatch, *extra):

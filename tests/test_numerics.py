@@ -1,4 +1,4 @@
-"""Entropy, optimizer, bisection, and quadrature utilities."""
+"""Entropy, optimizer, and quadrature utilities."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from su2drift import numerics
 from su2drift.numerics import (
     OptimizerConfig,
-    bisect_zero,
     nelder_mead_maximize,
     softmax,
     sphere_quadrature,
@@ -105,13 +104,6 @@ def test_optimizer_config_validation():
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             OptimizerConfig(tolerance=tol)
-
-
-def test_bisect_zero():
-    root = bisect_zero(lambda x: 2.0 - x, 0.0, 5.0, tol=1e-8)
-    assert root == pytest.approx(2.0, abs=1e-7)
-    with pytest.raises(ValueError):
-        bisect_zero(lambda x: -1.0, 0.0, 1.0)
 
 
 def test_softmax_properties():

@@ -177,17 +177,11 @@ def test_three_qubit_rejects_bad_time():
                 call()
 
 
-def test_general_search_matches_family():
-    r = tq.maximize_holevo(0.5, general_search=True)
-    assert r.matched_family
-    assert r.general_capacity <= r.family_capacity + 2e-4
-
-
 @pytest.mark.parametrize("t", [1e-4, 1e-3])
 def test_weak_diffusion_expansions_match_optimizers(t):
     # capacity_weak and coherent_info_weak agree with the optimizers to the
     # order of the first neglected term, t^2 ln^2 t
     tol = (t * math.log(t)) ** 2
-    capacity = tq.maximize_holevo(t, general_search=False).capacity
+    capacity = tq.maximize_holevo(t).capacity
     assert abs(tq.capacity_weak(t) - capacity) < tol
     assert abs(tq.coherent_info_weak(t) - tq.maximize_coherent_info(t).value) < tol
