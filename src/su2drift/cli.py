@@ -155,7 +155,12 @@ def cmd_three(args) -> int:
         return 0
     if args.action == "threshold":
         thr = three_qubit.coherent_info_threshold()
+        cut = three_qubit.ANTIDEGRADABLE_FROM
         print("coherent-information threshold t* =", FMT % thr)
+        print(f"anti-degradable (Q = 0) from t = {cut:g}, "
+              "certified by verify check antidegradable_cut")
+        print("PPT (Q = 0) from t_PPT = ln 3 =", FMT % three_qubit.PPT_FROM)
+        print(f"so the quantum-capacity threshold t_Q lies in [{thr:.7f}, {cut:g}]")
         return 0
     # sweep
     cfg = numerics.OptimizerConfig(
@@ -168,10 +173,10 @@ def cmd_three(args) -> int:
         for t in ts:
             rows.append((t, three_qubit.average_fidelity(t)))
     elif args.quantity == "coherent-info":
-        header = "t,coherent_info,epsilon,nfev"
+        header = "t,coherent_info,upper_bound,epsilon,nfev"
         for t in ts:
             r = three_qubit.maximize_coherent_info(t, cfg)
-            rows.append((t, r.value, r.epsilon, r.nfev))
+            rows.append((t, r.value, r.upper_bound, r.epsilon, r.nfev))
     elif args.quantity == "capacity":
         header = "t,capacity,upper_bound,gap,q,theta,nfev"
         for t in ts:
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     tw.add_argument("--restarts", type=int, default=8)
     tw.add_argument("--opt-tol", type=float, default=1e-9)
     tw.add_argument("--seed", type=int, default=os.environ.get("SU2DRIFT_SEED", 7))
-    t3s.add_parser("threshold", help="positive-coherent-information threshold")
+    t3s.add_parser("threshold", help="coherent-information threshold t* and the bracket on t_Q")
     t3.set_defaults(func=cmd_three)
 
     v = sub.add_parser("verify", help="run the named self-check suite")

@@ -101,6 +101,67 @@ def _entropy_bits(evals) -> float:
     return s
 
 
+def kraus_from_choi(choi: np.ndarray, d_in: int) -> np.ndarray:
+    """Kraus set of a channel as one read-only (m, d_out, d_in) array, from
+    the Hermitian eigendecomposition of its Choi matrix C[(k, i), (l, j)] =
+    E(|k><l|)_ij (input index first), cut at EIG_CLAMP."""
+    evals, evecs = np.linalg.eigh(choi)
+    keep = evals > EIG_CLAMP
+    d_out = len(choi) // d_in
+    ops = (np.sqrt(evals[keep]) * evecs[:, keep]).T.reshape(-1, d_in, d_out).transpose(0, 2, 1)
+    ops.setflags(write=False)
+    return ops
+
+
+@dataclass
+class AntidegradingMap:
+    ok: bool  # lambda_min >= 1e-10: a certificate that I_c <= 0 on every input
+    lambda_min: float  # smallest eigenvalue of choi
+    residual: float  # largest defect of the linear conditions A o E^c = E and A trace-preserving
+    iterations: int
+    choi: np.ndarray  # A's (m d_out) x (m d_out) Choi matrix, environment index first
+
+
+def antidegrading_map(choi: np.ndarray, d_in: int) -> AntidegradingMap:
+    """Search for a channel A with A o E^c = E, E the channel with Choi
+    matrix choi and E^c(rho)_kl = Tr(E_k rho E_l^dag) its complement over
+    the Kraus set of kraus_from_choi.  If one exists, E is anti-degradable:
+    its quantum capacity is 0 and its coherent information is <= 0 on every
+    input (Devetak and Shor, CMP 256, 287 (2005)).
+
+    Both conditions on A, and trace preservation, are linear in A's Choi
+    matrix C, so they form one affine set, projected onto through one pinv.
+    Alternating that projection with a clip of C's eigenvalues to >= 1e-10
+    ends when the affine-projected iterate has lambda_min >= 1e-10: C is
+    then completely positive with margin, and meets the linear conditions to
+    `residual`.  The iteration gives up after 20000 rounds.
+    """
+    floor, max_iters = 1e-10, 20000
+    ops = kraus_from_choi(choi, d_in)
+    m, d = len(ops), ops.shape[1]
+    # row-map forms, vec row-major: vec(E(rho)) = vec(rho) @ s, vec(E^c(rho)) = vec(rho) @ sc
+    s = np.einsum("kia,kjb->abij", ops, ops.conj()).reshape(d_in**2, d * d)
+    sc = np.einsum("kia,lib->abkl", ops, ops.conj()).reshape(d_in**2, m, m)
+    eye_d, eye_m = np.eye(d), np.eye(m)
+    # sum_kl sc[p, k, l] C[(k, i), (l, j)] = s[p, (i, j)], and Tr_out C = 1_m
+    lin = np.vstack([
+        np.einsum("pkl,ie,jf->pijkelf", sc, eye_d, eye_d).reshape(d_in**2 * d * d, -1),
+        np.einsum("ak,bl,ef->abkelf", eye_m, eye_m, eye_d).reshape(m * m, -1),
+    ])
+    rhs = np.concatenate([s.ravel(), eye_m.ravel()])
+    lin_pinv = np.linalg.pinv(lin)
+    x = np.zeros(lin.shape[1], dtype=complex)
+    for iterations in range(1, max_iters + 1):
+        y = x - lin_pinv @ (lin @ x - rhs)
+        evals, evecs = np.linalg.eigh(y.reshape(m * d, m * d))
+        if evals[0] >= floor:
+            break
+        x = ((evecs * np.maximum(evals, floor)) @ evecs.conj().T).ravel()
+    residual = float(np.abs(lin @ y - rhs).max())
+    return AntidegradingMap(bool(evals[0] >= floor), float(evals[0]), residual, iterations,
+                            y.reshape(m * d, m * d))
+
+
 @dataclass
 class OptimizeResult:
     x: np.ndarray

@@ -143,13 +143,9 @@ def _output_entropy(out_map: tuple, coords) -> float:
 
 @lru_cache(maxsize=64)
 def kraus_operators(t: float) -> np.ndarray:
-    """Kraus set as one read-only (m, 3, 3) array, from the Hermitian
-    eigendecomposition of the Choi matrix cut at numerics.EIG_CLAMP."""
-    evals, evecs = np.linalg.eigh(qutrit_choi(t))
-    keep = evals > numerics.EIG_CLAMP
-    ops = (np.sqrt(evals[keep]) * evecs[:, keep]).T.reshape(-1, 3, 3).transpose(0, 2, 1)
-    ops.setflags(write=False)
-    return ops
+    """Kraus set as one read-only (m, 3, 3) array: numerics.kraus_from_choi
+    of the qutrit Choi matrix."""
+    return numerics.kraus_from_choi(qutrit_choi(t), 3)
 
 
 @lru_cache(maxsize=64)
@@ -243,6 +239,24 @@ def average_fidelity(t: float) -> float:
 
 # --- coherent information ---------------------------------------------------
 
+#: Diffusion time from which the qutrit channel is anti-degradable, so its
+#: quantum capacity is 0 and no input has positive coherent information.
+#: The verify check antidegradable_cut proves it; one certificate covers
+#: every t >= t0 = ANTIDEGRADABLE_FROM in three steps:
+#:
+#: - at t0, numerics.antidegrading_map finds a channel A with
+#:   A o E^c_t0 = E_t0;
+#: - the channel is a semigroup, E_t = E_{t-t0} o E_t0;
+#: - the complement of that composition, with Kraus operators
+#:   F_j E_k, gives E^c_t0 once the second environment j is traced out.
+#:
+#: So A' = E_{t-t0} o A o Tr_j satisfies A' o E^c_t = E_t; the complement
+#: over any other Kraus set differs by an isometry of the environment.
+ANTIDEGRADABLE_FROM = 0.40
+#: Diffusion time ln 3 from which the partial transpose of the Choi matrix
+#: is PSD (verify check qutrit_ppt_time): a PPT channel also has Q = 0.
+PPT_FROM = math.log(3.0)
+
 
 def coherent_information(rho: np.ndarray, t: float) -> float:
     """S(E(rho)) - S_env for one input state, in bits.
@@ -272,10 +286,12 @@ class CoherentInfoResult:
     value: float
     epsilon: float
     general_value: float
-    # The general search's flag.  Above t* its optimum, I_c = 0 on pure
-    # states, lies on the sphere that the parametrisation p/(1+|p|) never
-    # reaches, so Nelder-Mead wanders a plateau and this flag (and nfev) is
-    # set by last-bit rounding there.
+    upper_bound: float  # 0 where the channel is certified anti-degradable, else inf
+    # The general search's flag, True where the certificate replaces the
+    # search (t >= ANTIDEGRADABLE_FROM).  Between t* and that cut the
+    # search's optimum, I_c = 0 on pure states, lies on the sphere that the
+    # parametrisation p/(1+|p|) never reaches, so Nelder-Mead wanders a
+    # plateau and this flag (and nfev) is still set by last-bit rounding.
     converged: bool
     nfev: int  # objective evaluations over both searches
 
@@ -288,7 +304,9 @@ def maximize_coherent_info(
     Scans the diagonal family eps|e1><e1| + (1-eps)|e2><e2| by bounded
     scalar search, then confirms against a multi-start search over general
     qubit-block states; the symmetric block cannot contribute.  Never less
-    than 0, which pure inputs attain.
+    than 0, which pure inputs attain.  From ANTIDEGRADABLE_FROM on, every
+    input has I_c <= 0, so the value is 0 with upper_bound 0 and no general
+    search runs.
     """
     from scipy import optimize
 
@@ -302,6 +320,8 @@ def maximize_coherent_info(
         options={"xatol": 1e-10},
     )
     eps, family_val = float(res.x), float(-res.fun)
+    if t >= ANTIDEGRADABLE_FROM:
+        return CoherentInfoResult(0.0, eps, 0.0, 0.0, True, res.nfev)
 
     def objective(p):
         px, py, pz = p.tolist()
@@ -313,9 +333,8 @@ def maximize_coherent_info(
 
     general = numerics.nelder_mead_maximize(objective, np.zeros(3), config)
     best = max(family_val, general.fun, 0.0)
-    return CoherentInfoResult(
-        best, eps, max(general.fun, 0.0), general.converged, res.nfev + general.nfev
-    )
+    return CoherentInfoResult(best, eps, max(general.fun, 0.0), math.inf, general.converged,
+                              res.nfev + general.nfev)
 
 
 def coherent_info_threshold() -> float:

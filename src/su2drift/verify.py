@@ -4,8 +4,9 @@ Each engine invariant is written once, here.  The test suite runs every
 quick check by name in test_verify, and each slow check from one
 acceptance criterion; no test restates a check.  Each check returns
 (ok, detail).  The quick subset excludes the large-sample Monte Carlo
-gates and the optimizer endpoint checks; it keeps the Holevo certificate,
-whose family searches take a fraction of a second.
+gates, the optimizer endpoint checks and the anti-degradability
+certificate's iterative solve; it keeps the Holevo certificate, whose
+family searches take a fraction of a second.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ def _random_density(rng, dim):
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = x @ x.conj().T
     return rho / np.trace(rho)
+
+
+def _complement(ops, rho):
+    """E^c(rho)_kl = Tr(E_k rho E_l^dag) by explicit traces over a Kraus set."""
+    return np.array([[np.trace(a @ rho @ b.conj().T) for b in ops] for a in ops])
 
 
 def _twirled(rho, n):
@@ -381,8 +387,7 @@ def check_three_qubit_objectives(ctx):
         x = rng.normal(size=(2, rank)) + 1j * rng.normal(size=(2, rank))
         rho = np.zeros((3, 3), dtype=complex)
         rho[:2, :2] = x @ x.conj().T / np.sum(np.abs(x) ** 2)
-        ops = tq.kraus_operators(t)
-        w_env = np.array([[np.trace(a @ rho @ b.conj().T) for b in ops] for a in ops])
+        w_env = _complement(tq.kraus_operators(t), rho)
         d_ci = abs(tq._ci_fast(rho, t) - ent(tq.qutrit_channel(rho, t)) + ent(w_env))
         worst = np.maximum(worst, [d_s, d_chi, d_ci])
     ok = bool(np.all(worst <= [1e-14, 1e-12, 1e-12]))
@@ -422,6 +427,38 @@ def check_holevo_upper_bound(ctx):
     ok = 0.0 <= min(gaps) and max(gaps) <= 1e-6 and worst_excess <= 1e-12
     return ok, (f"gap {min(gaps):.1e} to {max(gaps):.1e}, "
                 f"max grid D - upper bound {worst_excess:.1e}")
+
+
+def check_qutrit_not_degradable(ctx):
+    """Witness that no degrading map D with D o E = E^c exists at t = 0.1
+    and 1: the channel sends X = |0><2| to exactly 0, its complement (from
+    kraus_operators) does not (spectral norm > 0.1), and a linear D must
+    send 0 to 0.  So between
+    t* and ANTIDEGRADABLE_FROM the single-letter coherent information is
+    only a lower bound on the quantum capacity."""
+    x = np.zeros((3, 3), dtype=complex)
+    x[0, 2] = 1.0
+    erased, leaked = [], []
+    for t in (0.1, 1.0):
+        erased.append(float(np.abs(x.ravel() @ three_qubit._superoperator(t)).max()))
+        leaked.append(float(np.linalg.norm(_complement(three_qubit.kraus_operators(t), x), 2)))
+    ok = max(erased) == 0.0 and min(leaked) > 0.1
+    return ok, (f"max |E(X)| {max(erased):.1e}, "
+                f"|E^c(X)| = {leaked[0]:.2f} (t=0.1), {leaked[1]:.2f} (t=1)")
+
+
+def check_qutrit_ppt_time(ctx):
+    """The partial transpose of the qutrit Choi matrix turns PSD at PPT_FROM
+    = ln 3: its smallest eigenvalue is < -1e-4 just before, 0 to 1e-12 at,
+    and > 1e-4 just after."""
+    def lam_min(t):
+        pt = three_qubit.qutrit_choi(t).reshape(3, 3, 3, 3).transpose(0, 3, 2, 1)
+        return float(np.linalg.eigvalsh(pt.reshape(9, 9))[0])
+
+    t0 = three_qubit.PPT_FROM
+    before, at, after = lam_min(t0 - 1e-3), lam_min(t0), lam_min(t0 + 1e-3)
+    ok = before < -1e-4 and at >= -1e-12 and after > 1e-4
+    return ok, f"min PT eigenvalue {before:.1e}, {at:.1e}, {after:.1e} at ln 3 - 1e-3, +0, +1e-3"
 
 
 def check_fidelity_identity(ctx):
@@ -486,6 +523,35 @@ def check_coherent_info_endpoints(ctx):
     return ok0 and ok3, f"I_C(0)={r0.value:.8f}, I_C(0.3)={r3.value:.2e}"
 
 
+def check_antidegradable_cut(ctx):
+    """The proof of three_qubit.ANTIDEGRADABLE_FROM.  At the cut
+    numerics.antidegrading_map succeeds with residual <= 1e-12 and
+    lambda_min >= 1e-10; independently, A applied to W(rho), built by
+    explicit traces over kraus_operators, reproduces qutrit_channel on 20
+    random states to 1e-12, and A's trace-preservation defect is <= 1e-12.
+    The qutrit semigroup S_t0 S_s = S_(t0+s), which carries the certificate
+    to every later t, holds to 1e-14 for s in {0.01, 0.5, 1.1}."""
+    tq, t0 = three_qubit, three_qubit.ANTIDEGRADABLE_FROM
+    cert = numerics.antidegrading_map(tq.qutrit_choi(t0), 3)
+    ops = tq.kraus_operators(t0)
+    m = len(ops)
+    a_choi = cert.choi.reshape(m, 3, m, 3)
+    rng = np.random.default_rng(ctx["seed"] + 14)
+    d_map = 0.0
+    for _ in range(20):
+        rho = _random_density(rng, 3)
+        out = np.einsum("kl,kilj->ij", _complement(ops, rho), a_choi)
+        d_map = max(d_map, np.abs(out - tq.qutrit_channel(rho, t0)).max())
+    d_tp = np.abs(np.einsum("kili->kl", a_choi) - np.eye(m)).max()
+    d_semi = max(np.abs(tq._superoperator(t0) @ tq._superoperator(s)
+                        - tq._superoperator(t0 + s)).max() for s in (0.01, 0.5, 1.1))
+    ok = (cert.ok and cert.residual <= 1e-12 and cert.lambda_min >= 1e-10
+          and d_map <= 1e-12 and d_tp <= 1e-12 and d_semi <= 1e-14)
+    return ok, (f"t={t0}: lambda_min {cert.lambda_min:.2e}, residual {cert.residual:.1e} "
+                f"after {cert.iterations} iterations; Kraus re-check {d_map:.1e}, "
+                f"TP defect {d_tp:.1e}, semigroup defect {d_semi:.1e}")
+
+
 def check_capacity_endpoint(ctx):
     r = three_qubit.maximize_holevo(0.0)
     ok = (
@@ -519,12 +585,15 @@ CHECKS = [
     ("three_qubit_closed_forms", True, check_three_qubit_closed_forms),
     ("three_qubit_objectives", True, check_three_qubit_objectives),
     ("holevo_upper_bound", True, check_holevo_upper_bound),
+    ("qutrit_not_degradable", True, check_qutrit_not_degradable),
+    ("qutrit_ppt_time", True, check_qutrit_ppt_time),
     ("fidelity_identity", True, check_fidelity_identity),
     ("choi_psd", True, check_choi_psd),
     ("haar_class_ks", False, check_haar_class_ks),
     ("kernel_semigroup_ks", False, check_kernel_semigroup_ks),
     ("mc_oracle", False, check_mc_oracle),
     ("coherent_info_endpoints", False, check_coherent_info_endpoints),
+    ("antidegradable_cut", False, check_antidegradable_cut),
     ("capacity_endpoint", False, check_capacity_endpoint),
 ]
 

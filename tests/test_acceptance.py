@@ -168,13 +168,16 @@ def test_criterion_6_fidelity_suite():
 
 def test_criterion_7_coherent_information():
     """I_C(0) = 1 within 1e-6 and I_C(0.3) = 0, as the verify check runs
-    them; threshold in [0.265, 0.285]; at t = 0.05 the value lies within
+    them; the anti-degradability certificate behind ANTIDEGRADABLE_FROM
+    holds, as the verify check antidegradable_cut runs it; threshold in
+    [0.265, 0.285], below the cut; at t = 0.05 the value lies within
     0.1 bits of the weak-diffusion expansion, epsilon >= 1/2 and the general
     search stays within 1e-6 of the family; pure inputs give 0 within 1e-10;
     Kraus-gauge invariance within 1e-10."""
     ends_ok, ends_detail = verify.check_coherent_info_endpoints({"seed": VERIFY_SEED})
+    cut_ok, cut_detail = verify.check_antidegradable_cut({"seed": VERIFY_SEED})
     thr = tq.coherent_info_threshold()
-    thr_ok = 0.265 <= thr <= 0.285
+    thr_ok = 0.265 <= thr <= 0.285 and thr < tq.ANTIDEGRADABLE_FROM
     weak = tq.maximize_coherent_info(0.05)
     weak_ok = (abs(weak.value - tq.coherent_info_weak(0.05)) < 0.1
                and weak.epsilon >= 0.5
@@ -199,10 +202,11 @@ def test_criterion_7_coherent_information():
         - tq.coherent_information(rho, t)
     )
     gauge_ok = gauge_defect < 1e-10
-    ok = ends_ok and thr_ok and weak_ok and pure_ok and gauge_ok
+    ok = ends_ok and cut_ok and thr_ok and weak_ok and pure_ok and gauge_ok
     record_criterion(
-        "7 coherent information (I(0)=1 to 1e-6; threshold in [0.265,0.285])", ok,
-        f"{ends_detail}, t*={thr:.7f}, gauge defect {gauge_defect:.1e}",
+        "7 coherent information (I(0)=1 to 1e-6; anti-degradable from the cut; "
+        "threshold in [0.265,0.285])", ok,
+        f"{ends_detail}, {cut_detail}, t*={thr:.7f}, gauge defect {gauge_defect:.1e}",
     )
     assert ok
 

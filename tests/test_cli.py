@@ -109,6 +109,22 @@ def test_cli_three_fidelity(capsys):
     assert "average:" in out
 
 
+def test_cli_three_threshold(tmp_path, capsys):
+    assert main("three threshold".split()) == 0
+    out = capsys.readouterr().out
+    t_star = float(out.split("\n")[0].split("=")[1])
+    assert 0.265 <= t_star <= 0.285
+    assert f"from t_PPT = ln 3 = {math.log(3):.17g}" in out
+    assert f"t_Q lies in [{t_star:.7f}, {three_qubit.ANTIDEGRADABLE_FROM:g}]" in out
+    # above the cut the coherent-information sweep reports the certificate
+    dst = tmp_path / "ci.csv"
+    assert main(f"three sweep --quantity coherent-info --t-from 0.4 --t-to 1 --t-steps 2 "
+                f"--restarts 1 --out {dst}".split()) == 0
+    lines = dst.read_text().strip().split("\n")
+    assert lines[0] == "t,coherent_info,upper_bound,epsilon,nfev"
+    assert [line.split(",")[1:3] for line in lines[1:]] == [["0", "0"], ["0", "0"]]
+
+
 def test_cli_three_sweep(tmp_path, capsys):
     dst = tmp_path / "avg.csv"
     code = main(
@@ -215,7 +231,7 @@ def test_cli_sweep_manifest_records_seed_used(tmp_path, capsys, monkeypatch):
 
     def fake_maximize(t, config=None):
         used.append(config.seed)
-        return three_qubit.CoherentInfoResult(0.0, 0.5, 0.0, True, 17)
+        return three_qubit.CoherentInfoResult(0.0, 0.5, 0.0, math.inf, True, 17)
 
     monkeypatch.setattr(three_qubit, "maximize_coherent_info", fake_maximize)
     dst = tmp_path / "ci.csv"
@@ -231,7 +247,7 @@ def test_cli_sweep_manifest_records_seed_used(tmp_path, capsys, monkeypatch):
         assert manifest["seed"] == expect
         assert used == [expect, expect]
         lines = dst.read_text().strip().split("\n")
-        assert lines[0] == "t,coherent_info,epsilon,nfev"
+        assert lines[0] == "t,coherent_info,upper_bound,epsilon,nfev"
         assert [line.split(",")[-1] for line in lines[1:]] == ["17", "17"]
 
 

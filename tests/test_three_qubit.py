@@ -177,6 +177,19 @@ def test_three_qubit_rejects_bad_time():
                 call()
 
 
+def test_coherent_info_certificate_replaces_search():
+    # under the benchmark's config: from the anti-degradable cut on, the
+    # value is 0 by certificate after the family scan alone; just below the
+    # cut the general search still runs
+    config = numerics.OptimizerConfig(restarts=1, max_iters=500, seed=7)
+    for t in (tq.ANTIDEGRADABLE_FROM, 0.8, 1.5):
+        r = tq.maximize_coherent_info(t, config)
+        assert r.value == 0.0 and r.general_value == 0.0 and r.upper_bound == 0.0
+        assert r.converged and r.nfev < 60
+    below = tq.maximize_coherent_info(0.39, config)
+    assert below.upper_bound == math.inf and below.nfev > 200
+
+
 @pytest.mark.parametrize("t", [1e-4, 1e-3])
 def test_weak_diffusion_expansions_match_optimizers(t):
     # capacity_weak and coherent_info_weak agree with the optimizers to the
