@@ -11,7 +11,9 @@ coupling    coupling paths, coupled bases from Clebsch-Gordan products,
             twirl and embed of block arrays, convention shifts
 channel     the diffusion channel, its Choi matrix, and a Monte Carlo oracle
 three_qubit closed-form three-qubit analysis, fidelities, capacities
-numerics    entropies, derivative-free optimization, quadrature
+numerics    entropies, the small-channel layer (Kraus set, complement and
+            anti-degrading maps of a channel given by its Choi matrix),
+            derivative-free optimization, quadrature
 serialize   JSON import/export for density matrices
 verify      named self-check suite
 """

@@ -42,7 +42,7 @@ def _count(value: str) -> int:
     return n
 
 
-def _write_manifest(csv_path: str, args_ns, seed, extra=None):
+def _write_manifest(csv_path: str, seed, extra=None):
     manifest = {
         "command": " ".join(sys.argv),
         "version": __version__,
@@ -96,7 +96,7 @@ def cmd_kernel(args) -> int:
     out = args.out or "kernel_samples.csv"
     with open(out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    _write_manifest(out, args, args.seed, {"t": args.t, "samples": args.n})
+    _write_manifest(out, args.seed, {"t": args.t, "samples": args.n})
     print(f"wrote {args.n} samples to {out}")
     return 0
 
@@ -193,7 +193,7 @@ def cmd_three(args) -> int:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(FMT % v for v in row) + "\n")
-    _write_manifest(out, args, args.seed, {
+    _write_manifest(out, args.seed, {
         "quantity": args.quantity,
         "t_range": [args.t_from, args.t_to, args.t_steps],
         "restarts": args.restarts,
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     ke.add_argument("--xi", type=float, required=True)
     km = ks.add_parser("sample", help="draw group elements, write CSV")
     km.add_argument("--t", type=_time, required=True)
-    km.add_argument("--n", type=int, default=1000)
+    km.add_argument("--n", type=_count, default=1000)
     km.add_argument("--seed", type=int, default=os.environ.get("SU2DRIFT_SEED", 0))
     km.add_argument("--out", type=str, default=None)
     k.set_defaults(func=cmd_kernel)

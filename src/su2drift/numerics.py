@@ -1,5 +1,10 @@
-"""Shared numerical utilities: input checks, entropies, optimization,
-quadrature."""
+"""Shared numerical utilities: input checks, entropies, the small-channel
+layer, optimization, quadrature.
+
+The small-channel layer is the one place that turns a channel, given as
+(choi, d_in), into a Kraus set, a complement map or an anti-degrading map.
+Its Choi matrix has the input index first, C[(k, i), (l, j)] = E(|k><l|)_ij,
+and its maps act on the row-major vec, vec(E(rho)) = vec(rho) @ S."""
 
 from __future__ import annotations
 
@@ -103,14 +108,23 @@ def _entropy_bits(evals) -> float:
 
 def kraus_from_choi(choi: np.ndarray, d_in: int) -> np.ndarray:
     """Kraus set of a channel as one read-only (m, d_out, d_in) array, from
-    the Hermitian eigendecomposition of its Choi matrix C[(k, i), (l, j)] =
-    E(|k><l|)_ij (input index first), cut at EIG_CLAMP."""
+    the Hermitian eigendecomposition of its Choi matrix, cut at EIG_CLAMP."""
     evals, evecs = np.linalg.eigh(choi)
     keep = evals > EIG_CLAMP
     d_out = len(choi) // d_in
     ops = (np.sqrt(evals[keep]) * evecs[:, keep]).T.reshape(-1, d_in, d_out).transpose(0, 2, 1)
     ops.setflags(write=False)
     return ops
+
+
+def complement_map(choi: np.ndarray, d_in: int) -> np.ndarray:
+    """Read-only (d_in^2, m^2) row map X of the complement E^c(rho)_kl =
+    Tr(E_k rho E_l^dag) over the Kraus set of kraus_from_choi:
+    X[ab, km + l] = sum_i E_k[i, a] conj(E_l[i, b])."""
+    ops = kraus_from_choi(choi, d_in)
+    x = np.einsum("kia,lib->abkl", ops, ops.conj()).reshape(d_in**2, len(ops) ** 2)
+    x.setflags(write=False)
+    return x
 
 
 @dataclass
@@ -124,10 +138,9 @@ class AntidegradingMap:
 
 def antidegrading_map(choi: np.ndarray, d_in: int) -> AntidegradingMap:
     """Search for a channel A with A o E^c = E, E the channel with Choi
-    matrix choi and E^c(rho)_kl = Tr(E_k rho E_l^dag) its complement over
-    the Kraus set of kraus_from_choi.  If one exists, E is anti-degradable:
-    its quantum capacity is 0 and its coherent information is <= 0 on every
-    input (Devetak and Shor, CMP 256, 287 (2005)).
+    matrix choi and E^c its complement_map.  If one exists, E is
+    anti-degradable: its quantum capacity is 0 and its coherent information
+    is <= 0 on every input (Devetak and Shor, CMP 256, 287 (2005)).
 
     Both conditions on A, and trace preservation, are linear in A's Choi
     matrix C, so they form one affine set, projected onto through one pinv.
@@ -137,11 +150,11 @@ def antidegrading_map(choi: np.ndarray, d_in: int) -> AntidegradingMap:
     `residual`.  The iteration gives up after 20000 rounds.
     """
     floor, max_iters = 1e-10, 20000
-    ops = kraus_from_choi(choi, d_in)
-    m, d = len(ops), ops.shape[1]
-    # row-map forms, vec row-major: vec(E(rho)) = vec(rho) @ s, vec(E^c(rho)) = vec(rho) @ sc
-    s = np.einsum("kia,kjb->abij", ops, ops.conj()).reshape(d_in**2, d * d)
-    sc = np.einsum("kia,lib->abkl", ops, ops.conj()).reshape(d_in**2, m, m)
+    d = len(choi) // d_in
+    s = choi.reshape(d_in, d, d_in, d).transpose(0, 2, 1, 3).reshape(d_in**2, d * d)
+    sc = complement_map(choi, d_in)
+    m = math.isqrt(sc.shape[1])
+    sc = sc.reshape(d_in**2, m, m)
     eye_d, eye_m = np.eye(d), np.eye(m)
     # sum_kl sc[p, k, l] C[(k, i), (l, j)] = s[p, (i, j)], and Tr_out C = 1_m
     lin = np.vstack([

@@ -12,9 +12,8 @@ The channel reads five real numbers of its input, the coordinates
 qubit block (a, d, b) and |2> weight, whose spectrum is in closed form.  The
 objectives therefore run on Python floats: a cached per-t coefficient map
 read off the superoperator, a few multiplies per state and math.log2.  The
-entropy exchange is the entropy of W_kl = Tr(E_k rho E_l^dag) over the
-Kraus set {E_k} (Schumacher, PRA 54, 2614 (1996)), read off vec(rho) by one
-precomputed 9 x m^2 product and eigensolved in numerics._entropy_fast.
+entropy exchange S(E^c(rho)) (Schumacher, PRA 54, 2614 (1996)) is read off
+vec(rho) by the small-channel layer's numerics.complement_map of qutrit_choi.
 Each public quantity checks its input once and calls one unchecked core,
 which the optimizers call directly.
 """
@@ -100,8 +99,7 @@ def qutrit_channel(rho: np.ndarray, t: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _superoperator(t: float) -> np.ndarray:
-    """Read-only 9x9 S with vec(E(rho)) = vec(rho) @ S, vec row-major: row
-    3k + l is the image of |k><l|."""
+    """Read-only 9x9 row map S, vec(E(rho)) = vec(rho) @ S, as in numerics."""
     units = np.eye(9, dtype=complex).reshape(9, 3, 3)
     s = np.stack([_qutrit_channel_linear(u, t) for u in units]).reshape(9, 9)
     s.setflags(write=False)
@@ -142,20 +140,9 @@ def _output_entropy(out_map: tuple, coords) -> float:
 
 
 @lru_cache(maxsize=64)
-def kraus_operators(t: float) -> np.ndarray:
-    """Kraus set as one read-only (m, 3, 3) array: numerics.kraus_from_choi
-    of the qutrit Choi matrix."""
-    return numerics.kraus_from_choi(qutrit_choi(t), 3)
-
-
-@lru_cache(maxsize=64)
 def _exchange_map(t: float) -> np.ndarray:
-    """Read-only (9, m^2) map X with vec(W) = vec(rho) @ X for the entropy
-    exchange, vec row-major: X[ab, km + l] = sum_i E_k[i, a] conj(E_l[i, b])."""
-    ops = kraus_operators(t)
-    x = np.einsum("kia,lib->abkl", ops, ops.conj()).reshape(9, len(ops) ** 2)
-    x.setflags(write=False)
-    return x
+    """Read-only (9, m^2) map X of the entropy exchange, vec(W) = vec(rho) @ X."""
+    return numerics.complement_map(qutrit_choi(t), 3)
 
 
 # --- bridge to the general channel machinery ------------------------------

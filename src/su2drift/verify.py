@@ -360,11 +360,12 @@ def check_three_qubit_objectives(ctx):
     qutrit_channel and von_neumann_entropy.  Holevo ensembles mix pure
     qubit-block states, |2> and pure qutrit states with |2> coherence, which
     the channel erases; pure qubit-block inputs give rank-deficient outputs
-    at t = 0."""
+    at t = 0.  Coherent information takes W by explicit traces over the Kraus
+    set and a unitary remix of it (gauge invariance), on rank 1-3 inputs."""
     rng = np.random.default_rng(ctx["seed"] + 12)
     tq, ent = three_qubit, numerics.von_neumann_entropy
     worst = np.zeros(3)  # channel maps, Holevo, coherent information
-    for t, rank in itertools.product((0.0, 0.05, 0.5, 2.0), (1, 2) * 6):
+    for k, (t, rank) in enumerate(itertools.product((0.0, 0.05, 0.5, 2.0, 3.0), (1, 2, 3) * 4)):
         rho = _random_density(rng, 3)
         ref = tq.qutrit_channel(rho, t)
         out = np.reshape(rho, 9) @ tq._superoperator(t)
@@ -384,11 +385,14 @@ def check_three_qubit_objectives(ctx):
         s_avg = ent(tq.qutrit_channel(sum(p * s for p, s in zip(w, states)), t))
         d_chi = abs(tq._chi_fast(w, [tq._coords(s) for s in states], t)
                     - (s_avg - np.dot(w, s_out)))
-        x = rng.normal(size=(2, rank)) + 1j * rng.normal(size=(2, rank))
-        rho = np.zeros((3, 3), dtype=complex)
-        rho[:2, :2] = x @ x.conj().T / np.sum(np.abs(x) ** 2)
-        w_env = _complement(tq.kraus_operators(t), rho)
-        d_ci = abs(tq._ci_fast(rho, t) - ent(tq.qutrit_channel(rho, t)) + ent(w_env))
+        x = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
+        x[2] *= k % 2  # every other input on the qubit block
+        rho = x @ x.conj().T / np.sum(np.abs(x) ** 2)
+        ops = numerics.kraus_from_choi(tq.qutrit_choi(t), 3)
+        z = rng.normal(size=(len(ops),) * 2) + 1j * rng.normal(size=(len(ops),) * 2)
+        mixed = np.tensordot(np.linalg.qr(z)[0], ops, axes=1)
+        d_ci = max(abs(tq._ci_fast(rho, t) - ent(tq.qutrit_channel(rho, t))
+                       + ent(_complement(kraus, rho))) for kraus in (ops, mixed))
         worst = np.maximum(worst, [d_s, d_chi, d_ci])
     ok = bool(np.all(worst <= [1e-14, 1e-12, 1e-12]))
     return ok, "max defect: channel maps {:.1e}, Holevo {:.1e}, CI {:.1e}".format(*worst)
@@ -431,17 +435,17 @@ def check_holevo_upper_bound(ctx):
 
 def check_qutrit_not_degradable(ctx):
     """Witness that no degrading map D with D o E = E^c exists at t = 0.1
-    and 1: the channel sends X = |0><2| to exactly 0, its complement (from
-    kraus_operators) does not (spectral norm > 0.1), and a linear D must
-    send 0 to 0.  So between
-    t* and ANTIDEGRADABLE_FROM the single-letter coherent information is
-    only a lower bound on the quantum capacity."""
+    and 1: the channel sends X = |0><2| to exactly 0, its complement (over
+    numerics.kraus_from_choi) does not (spectral norm > 0.1), and a linear D
+    must send 0 to 0.  So between t* and ANTIDEGRADABLE_FROM the
+    single-letter coherent information is only a lower bound on Q."""
     x = np.zeros((3, 3), dtype=complex)
     x[0, 2] = 1.0
     erased, leaked = [], []
     for t in (0.1, 1.0):
+        ops = numerics.kraus_from_choi(three_qubit.qutrit_choi(t), 3)
         erased.append(float(np.abs(x.ravel() @ three_qubit._superoperator(t)).max()))
-        leaked.append(float(np.linalg.norm(_complement(three_qubit.kraus_operators(t), x), 2)))
+        leaked.append(float(np.linalg.norm(_complement(ops, x), 2)))
     ok = max(erased) == 0.0 and min(leaked) > 0.1
     return ok, (f"max |E(X)| {max(erased):.1e}, "
                 f"|E^c(X)| = {leaked[0]:.2f} (t=0.1), {leaked[1]:.2f} (t=1)")
@@ -459,6 +463,47 @@ def check_qutrit_ppt_time(ctx):
     before, at, after = lam_min(t0 - 1e-3), lam_min(t0), lam_min(t0 + 1e-3)
     ok = before < -1e-4 and at >= -1e-12 and after > 1e-4
     return ok, f"min PT eigenvalue {before:.1e}, {at:.1e}, {after:.1e} at ln 3 - 1e-3, +0, +1e-3"
+
+
+def check_small_channel_layer(ctx):
+    """numerics.kraus_from_choi and complement_map on random Stinespring
+    channels rho -> Tr_env(V rho V^dag), V a QR isometry, at (d_in, d_out,
+    m) = (2, 3, 4), (3, 2, 2) and (4, 4, 3), and on the qutrit at t = 0.1
+    and 0.8.  The Kraus set is read-only and complete, sum K^dag K = 1, and
+    reproduces the channel (Tr_env(V rho V^dag), or qutrit_channel).
+    vec(rho) @ complement_map equals _complement over that set, and for V
+    its spectrum equals that of Tr_out(V rho V^dag), which no Kraus gauge
+    enters.  Every defect is <= 1e-12."""
+    rng = np.random.default_rng(ctx["seed"] + 15)
+    cases = [(three_qubit.qutrit_choi(t), 3, None, t) for t in (0.1, 0.8)]
+    for d_in, d_out, m in ((2, 3, 4), (3, 2, 2), (4, 4, 3)):
+        z = rng.normal(size=(d_out * m, d_in)) + 1j * rng.normal(size=(d_out * m, d_in))
+        v = np.linalg.qr(z)[0].reshape(d_out, m, d_in)  # V[(i, e), a]: output i, environment e
+        choi = np.einsum("iek,jel->kilj", v, v.conj()).reshape(d_in * d_out, -1)
+        cases.append((choi, d_in, v, None))
+    worst, shapes_ok = np.zeros(3), True  # Kraus set, complement map, spectrum
+    for choi, d_in, v, t in cases:
+        ops, x = numerics.kraus_from_choi(choi, d_in), numerics.complement_map(choi, d_in)
+        m = len(ops)
+        shapes_ok &= (ops.shape[1:] == (len(choi) // d_in, d_in) and x.shape == (d_in**2, m * m)
+                      and not (ops.flags.writeable or x.flags.writeable))
+        d_kraus = np.abs(np.einsum("kia,kib->ab", ops.conj(), ops) - np.eye(d_in)).max()
+        for _ in range(5):
+            rho = _random_density(rng, d_in)
+            w = (rho.ravel() @ x).reshape(m, m)
+            d_spec = 0.0
+            if v is None:
+                out = three_qubit.qutrit_channel(rho, t)
+            else:
+                joint = np.einsum("iea,ab,jfb->iejf", v, rho, v.conj())
+                out = np.einsum("ieje->ij", joint)
+                d_spec = np.abs(np.linalg.eigvalsh(w) - np.linalg.eigvalsh(
+                    np.einsum("ieif->ef", joint))).max()
+            d_kraus = max(d_kraus, np.abs(sum(k @ rho @ k.conj().T for k in ops) - out).max())
+            worst = np.maximum(worst, [d_kraus, np.abs(w - _complement(ops, rho)).max(), d_spec])
+    ok = shapes_ok and bool(np.all(worst <= 1e-12))
+    return ok, ("max defect: Kraus set {:.1e}, complement map {:.1e}, spectrum {:.1e}; "
+                "shapes and read-only flags {}".format(*worst, "ok" if shapes_ok else "WRONG"))
 
 
 def check_fidelity_identity(ctx):
@@ -527,13 +572,13 @@ def check_antidegradable_cut(ctx):
     """The proof of three_qubit.ANTIDEGRADABLE_FROM.  At the cut
     numerics.antidegrading_map succeeds with residual <= 1e-12 and
     lambda_min >= 1e-10; independently, A applied to W(rho), built by
-    explicit traces over kraus_operators, reproduces qutrit_channel on 20
+    explicit traces over kraus_from_choi, reproduces qutrit_channel on 20
     random states to 1e-12, and A's trace-preservation defect is <= 1e-12.
     The qutrit semigroup S_t0 S_s = S_(t0+s), which carries the certificate
     to every later t, holds to 1e-14 for s in {0.01, 0.5, 1.1}."""
     tq, t0 = three_qubit, three_qubit.ANTIDEGRADABLE_FROM
     cert = numerics.antidegrading_map(tq.qutrit_choi(t0), 3)
-    ops = tq.kraus_operators(t0)
+    ops = numerics.kraus_from_choi(tq.qutrit_choi(t0), 3)
     m = len(ops)
     a_choi = cert.choi.reshape(m, 3, m, 3)
     rng = np.random.default_rng(ctx["seed"] + 14)
@@ -587,6 +632,7 @@ CHECKS = [
     ("holevo_upper_bound", True, check_holevo_upper_bound),
     ("qutrit_not_degradable", True, check_qutrit_not_degradable),
     ("qutrit_ppt_time", True, check_qutrit_ppt_time),
+    ("small_channel_layer", True, check_small_channel_layer),
     ("fidelity_identity", True, check_fidelity_identity),
     ("choi_psd", True, check_choi_psd),
     ("haar_class_ks", False, check_haar_class_ks),

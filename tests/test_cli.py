@@ -275,9 +275,13 @@ def test_cli_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         assert main(["channel", "mc-check", "--n", "2", "--t", bad]) == 2
         assert main(["channel", "choi", "--n", "2", "--t", bad,
                      "--out", str(dst)]) == 2
-    # so is an empty or non-integer sweep
+    # so is an empty or non-integer sweep or sample count
     for bad in ("0", "-3", "2.5"):
         assert main(sweep.split() + ["--t-from", "0", "--t-to", "1", "--t-steps", bad]) == 2
+    for bad in ("0", "-3"):
+        assert main(["kernel", "sample", "--t", "0.5", "--n", bad,
+                     "--out", str(tmp_path / "k.csv")]) == 2
+    assert not (tmp_path / "k.csv").exists()
     # so is a non-finite class angle
     for bad in ("nan", "inf"):
         assert main(["kernel", "eval", "--t", "0.5", "--xi", bad]) == 2

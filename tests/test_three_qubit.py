@@ -94,56 +94,6 @@ def test_great_circle_fidelity_optimum():
             assert tq.great_circle_fidelity(th_c, ph_c, t) <= best + 1e-12
 
 
-def test_kraus_operators_complete():
-    for t in (0.1, 0.8):
-        ops = tq.kraus_operators(t)
-        assert ops.ndim == 3 and ops.shape[1:] == (3, 3)
-        assert not ops.flags.writeable
-        total = sum(k.conj().T @ k for k in ops)
-        assert np.allclose(total, np.eye(3), atol=1e-10)
-        rng = np.random.default_rng(33)
-        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        rho = x @ x.conj().T
-        rho /= np.trace(rho)
-        out = sum(k @ rho @ k.conj().T for k in ops)
-        assert np.abs(out - tq.qutrit_channel(rho, t)).max() < 1e-10
-
-
-def _random_qutrit_state(rng, rank, qubit_block_only=False):
-    x = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
-    if qubit_block_only:
-        x[2] = 0.0
-    rho = x @ x.conj().T
-    return rho / np.trace(rho).real
-
-
-def test_coherent_information_gauge_invariance():
-    # entropy exchange must not depend on the Kraus representation: compare
-    # against the Kraus loop W_kl = Tr(E_k rho E_l^dag) on the returned set
-    # and on a random unitary remixing of it
-    rng = np.random.default_rng(34)
-    for t in (0.0, 0.05, 0.3, 1.0, 3.0):
-        ops = tq.kraus_operators(t)
-        m = len(ops)
-        z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        q, _ = np.linalg.qr(z)
-        mixed = [sum(q[i, j] * ops[j] for j in range(m)) for i in range(m)]
-        states = [tq._diagonal_family_state(0.6)] + [
-            _random_qutrit_state(rng, rank, qubit_block_only=k % 2 == 0)
-            for rank in (1, 2, 3)
-            for k in range(4)
-        ]
-        for rho in states:
-            base = tq.coherent_information(rho, t)
-            s_out = numerics.von_neumann_entropy(tq.qutrit_channel(rho, t))
-            for kraus in (list(ops), mixed):
-                w = np.array(
-                    [[np.trace(a @ rho @ b.conj().T) for b in kraus] for a in kraus]
-                )
-                s_env = numerics.von_neumann_entropy(w)
-                assert s_out - s_env == pytest.approx(base, abs=1e-10)
-
-
 def test_holevo_chi_basics():
     ens = tq._family_ensemble(1 / 3, math.pi / 2)
     ens.validate()
