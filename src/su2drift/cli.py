@@ -6,7 +6,8 @@ and sampling), channel (apply / Monte Carlo check / Choi), three
 
 Exit codes: 0 success, 1 check failure, 2 bad input.  Each --seed defaults
 to the environment variable SU2DRIFT_SEED when it is set; argparse parses
-that string like the flag's own value, so a non-integer is a usage error.
+that string like the flag's own value, so anything but a non-negative
+integer is a usage error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import os
 import sys
 
@@ -34,12 +34,14 @@ def _time(value: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _count(value: str) -> int:
-    """argparse type of a count: an integer of at least 1."""
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _integer(low: int):
+    """argparse type of an integer of at least low: a count (1) or a seed (0)."""
+    def integer(value: str) -> int:
+        n = int(value)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {n}")
+        return n
+    return integer
 
 
 def _write_manifest(csv_path: str, seed, extra=None):
@@ -140,17 +142,8 @@ def cmd_channel(args) -> int:
 
 def cmd_three(args) -> int:
     if args.action == "fidelity":
-        if args.grid:
-            best, worst = None, None
-            for th in np.linspace(0, math.pi, 61):
-                for ph in np.linspace(0, 2 * math.pi, 121):
-                    f = three_qubit.fidelity(th, ph, args.t)
-                    if best is None or f > best[0]:
-                        best = (f, th, ph)
-                    if worst is None or f < worst[0]:
-                        worst = (f, th, ph)
-            print(f"best  f={FMT % best[0]} at theta={best[1]:.6f} phi={best[2]:.6f}")
-            print(f"worst f={FMT % worst[0]} at theta={worst[1]:.6f} phi={worst[2]:.6f}")
+        for label, (f, th, ph) in zip(("best ", "worst"), three_qubit.fidelity_extremes(args.t)):
+            print(f"{label} f={FMT % f} at theta={th:.6f} phi={ph:.6f}")
         print("average:", FMT % three_qubit.average_fidelity(args.t))
         return 0
     if args.action == "threshold":
@@ -163,9 +156,7 @@ def cmd_three(args) -> int:
         print(f"so the quantum-capacity threshold t_Q lies in [{thr:.7f}, {cut:g}]")
         return 0
     # sweep
-    cfg = numerics.OptimizerConfig(
-        restarts=args.restarts, tolerance=args.opt_tol, seed=args.seed
-    )
+    cfg = numerics.OptimizerConfig(restarts=args.restarts, seed=args.seed)
     ts = np.linspace(args.t_from, args.t_to, args.t_steps)
     rows = []
     if args.quantity == "avg-fidelity":
@@ -186,7 +177,7 @@ def cmd_three(args) -> int:
         header = "t,capacity,best_orthogonal,worst_orthogonal"
         for t in ts:
             r = three_qubit.maximize_holevo(t, config=cfg)
-            best, worst = three_qubit.orthogonal_benchmark(t, cfg)
+            best, worst = three_qubit.orthogonal_benchmark(t)
             rows.append((t, r.capacity, best, worst))
     out = args.out or f"{args.quantity}.csv"
     with open(out, "w") as fh:
@@ -197,7 +188,6 @@ def cmd_three(args) -> int:
         "quantity": args.quantity,
         "t_range": [args.t_from, args.t_to, args.t_steps],
         "restarts": args.restarts,
-        "opt_tol": args.opt_tol,
     })
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -252,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     ke.add_argument("--xi", type=float, required=True)
     km = ks.add_parser("sample", help="draw group elements, write CSV")
     km.add_argument("--t", type=_time, required=True)
-    km.add_argument("--n", type=_count, default=1000)
-    km.add_argument("--seed", type=int, default=os.environ.get("SU2DRIFT_SEED", 0))
+    km.add_argument("--n", type=_integer(1), default=1000)
+    km.add_argument("--seed", type=_integer(0), default=os.environ.get("SU2DRIFT_SEED", 0))
     km.add_argument("--out", type=str, default=None)
     k.set_defaults(func=cmd_kernel)
 
@@ -268,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     cm.add_argument("--n", type=int, required=True)
     cm.add_argument("--t", type=_time, required=True)
     cm.add_argument("--samples", type=int, default=100000)
-    cm.add_argument("--seed", type=int, default=os.environ.get("SU2DRIFT_SEED", 0))
+    cm.add_argument("--seed", type=_integer(0), default=os.environ.get("SU2DRIFT_SEED", 0))
     cc = cs.add_parser("choi", help="write the Choi matrix as JSON")
     cc.add_argument("--n", type=int, required=True)
     cc.add_argument("--t", type=_time, required=True)
@@ -280,24 +270,22 @@ def build_parser() -> argparse.ArgumentParser:
     t3s = t3.add_subparsers(dest="action", required=True)
     tf = t3s.add_parser("fidelity", help="fidelity of the effective qubit")
     tf.add_argument("--t", type=_time, required=True)
-    tf.add_argument("--grid", action="store_true")
     tw = t3s.add_parser("sweep", help="tabulate a quantity over t, write CSV")
     tw.add_argument("--quantity", required=True,
                     choices=("avg-fidelity", "coherent-info", "capacity", "orthogonal"))
     tw.add_argument("--t-from", type=_time, required=True)
     tw.add_argument("--t-to", type=_time, required=True)
-    tw.add_argument("--t-steps", type=_count, default=21)
+    tw.add_argument("--t-steps", type=_integer(1), default=21)
     tw.add_argument("--out", type=str, default=None)
     tw.add_argument("--restarts", type=int, default=8)
-    tw.add_argument("--opt-tol", type=float, default=1e-9)
-    tw.add_argument("--seed", type=int, default=os.environ.get("SU2DRIFT_SEED", 7))
+    tw.add_argument("--seed", type=_integer(0), default=os.environ.get("SU2DRIFT_SEED", 7))
     t3s.add_parser("threshold", help="coherent-information threshold t* and the bracket on t_Q")
     t3.set_defaults(func=cmd_three)
 
     v = sub.add_parser("verify", help="run the named self-check suite")
     v.add_argument("--quick", action="store_true",
                    help="skip large-sample Monte Carlo and optimization gates")
-    v.add_argument("--seed", type=int, default=os.environ.get("SU2DRIFT_SEED", 12345))
+    v.add_argument("--seed", type=_integer(0), default=os.environ.get("SU2DRIFT_SEED", 12345))
     v.add_argument("--report", type=str, default=None,
                    help="write a machine-readable JSON report here")
     v.set_defaults(func=cmd_verify)
@@ -312,7 +300,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ and its maps act on the row-major vec, vec(E(rho)) = vec(rho) @ S."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +26,14 @@ DENSITY_TOL = 1e-10
 #: "apply": every ChannelSpec, so channel_apply and monte_carlo_channel;
 #: "choi": the full Choi matrix (4^N x 4^N).
 N_CAPS = {"paths": 16, "basis": 10, "apply": 8, "choi": 5}
+#: xatol and fatol of every Nelder-Mead run.
+NM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 32
     max_iters: int = 4000
-    tolerance: float = 1e-9
     seed: int = 7
 
     def __post_init__(self):
@@ -39,8 +41,6 @@ class OptimizerConfig:
             raise ValueError("need at least one restart")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 def validate_time(t) -> float:
@@ -55,8 +55,10 @@ def validate_time(t) -> float:
 
 
 def validate_n(N: int, op: str) -> int:
-    """N once it is checked to lie in 1..N_CAPS[op]; checked before anything
-    of size 2^N is allocated."""
+    """N once it is checked to be an integer in 1..N_CAPS[op]; checked
+    before anything of size 2^N is allocated."""
+    if not isinstance(N, numbers.Integral) or isinstance(N, bool):
+        raise ValueError(f"N must be an integer, got {N!r}")
     if not 1 <= N <= N_CAPS[op]:
         raise ValueError(f"N={N} out of range [1, {N_CAPS[op]}] for {op}")
     return N
@@ -207,8 +209,8 @@ def nelder_mead_maximize(f, x0, config: OptimizerConfig = OptimizerConfig()) -> 
             start,
             method="Nelder-Mead",
             options={
-                "xatol": config.tolerance,
-                "fatol": config.tolerance,
+                "xatol": NM_TOL,
+                "fatol": NM_TOL,
                 "maxiter": config.max_iters,
                 "maxfev": config.max_iters,
             },
@@ -218,14 +220,6 @@ def nelder_mead_maximize(f, x0, config: OptimizerConfig = OptimizerConfig()) -> 
         converged = converged or bool(res.success)
         nfev += res.nfev
     return OptimizeResult(best_x, best_f, converged, config.restarts, nfev)
-
-
-def softmax(x) -> list:
-    """Normalised exponentials of a sequence of floats, as a list."""
-    top = max(x)
-    z = [math.exp(v - top) for v in x]
-    total = sum(z)
-    return [v / total for v in z]
 
 
 def sphere_quadrature(f, n_theta: int, n_phi: int) -> float:

@@ -20,6 +20,8 @@ def density_to_json(rho: np.ndarray) -> dict:
 
 
 def density_from_json(obj: dict) -> np.ndarray:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object with dim, re and im, got {type(obj).__name__}")
     dim = int(obj["dim"])
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)

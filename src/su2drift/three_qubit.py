@@ -219,6 +219,20 @@ def great_circle_fidelity(theta_c: float, phi_c: float, t: float) -> float:
     ) / 24.0
 
 
+def fidelity_extremes(t: float) -> tuple:
+    """Best and worst fidelity over the Bloch sphere, each as (f, theta, phi).
+
+    With c = cos(theta), fidelity is (12 + 5e^-t + 7e^-2t + (e^-2t - e^-t) A)
+    / 24, A = 4c + 2c^2 - 1 - 6 cos(2 phi) (1 - c^2).  As e^-2t <= e^-t, the
+    best state minimises A (phi = 0, c = -1/4) and the worst maximises it
+    (phi = pi/2, c = 1/2).
+    """
+    t = numerics.validate_time(t)
+    et, e2t = math.exp(-t), math.exp(-2.0 * t)
+    return (((24.0 + 25.0 * et - e2t) / 48.0, math.acos(-0.25), 0.0),
+            ((12.0 - et + 13.0 * e2t) / 24.0, math.pi / 3, math.pi / 2))
+
+
 def average_fidelity(t: float) -> float:
     """Fidelity averaged uniformly over the whole Bloch sphere."""
     return (9.0 + 4.0 * math.exp(-t) + 5.0 * math.exp(-2.0 * t)) / 18.0
@@ -519,29 +533,28 @@ def _normalize_theta(theta: float) -> float:
     return abs(math.remainder(theta, 2.0 * math.pi))
 
 
-def orthogonal_benchmark(
-    t: float, config: numerics.OptimizerConfig | None = None
-) -> tuple:
-    """Holevo quantities for the fixed best and worst orthogonal pairs.
+def orthogonal_benchmark(t: float) -> tuple:
+    """Holevo capacities of the best orthogonal pair (|e1> +- |e2>)/sqrt2,
+    on the weakly shrunk x axis, and the worst, (|e1> +- i|e2>)/sqrt2 on the
+    strongly shrunk y axis, each with |2> and optimal weights.
 
-    Best pair (|e1> +- |e2>)/sqrt2 lies on the weakly shrunk x axis, worst
-    pair (|e1> +- i|e2>)/sqrt2 on the strongly shrunk y axis; weights over
-    the 2-simplex are optimized for each.
+    The outputs depend on the qubit coherence only through |b|, so x -> -x
+    (y -> -y) swaps the pair's states and leaves chi unchanged; chi is
+    concave in the weights, so equal pair weights (q, q, 1 - 2q) are exact,
+    and each pair is one bounded Brent solve over q in [0, 1/2].
     """
+    from scipy import optimize
+
     t = numerics.validate_time(t)
-    if config is None:
-        config = numerics.OptimizerConfig(restarts=8, seed=3)
-    results = []
+    values = []
     for phi in (0.0, math.pi / 2):
-        coords = [_pure_qubit_coords(th, phi) for th in (math.pi / 2, -math.pi / 2)]
-        coords.append(SYMMETRIC_COORDS)
-
-        def obj(p, coords=coords):
-            return _chi_fast(numerics.softmax(p.tolist() + [0.0]), coords, t)
-
-        res = numerics.nelder_mead_maximize(obj, np.zeros(2), config)
-        results.append(res.fun)
-    return results[0], results[1]
+        members = (*(_pure_qubit_coords(th, phi) for th in (math.pi / 2, -math.pi / 2)),
+                   SYMMETRIC_COORDS)
+        res = optimize.minimize_scalar(lambda q: -_chi_fast((q, q, 1.0 - 2.0 * q), members, t),
+                                       bounds=(0.0, 0.5), method="bounded",
+                                       options={"xatol": 1e-10})
+        values.append(float(-res.fun))
+    return tuple(values)
 
 
 # --- weak-diffusion reference curves ---------------------------------------

@@ -380,7 +380,8 @@ def check_three_qubit_objectives(ctx):
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         states = [*tq.pure_qubit_state(*angles), tq.SYMMETRIC_STATE,
                   *(np.outer(v, v.conj()) for v in psi)]
-        w = numerics.softmax(rng.normal(size=len(states)))
+        w = np.exp(rng.normal(size=len(states)))
+        w /= w.sum()
         s_out = [ent(tq.qutrit_channel(s, t)) for s in states]
         s_avg = ent(tq.qutrit_channel(sum(p * s for p, s in zip(w, states)), t))
         d_chi = abs(tq._chi_fast(w, [tq._coords(s) for s in states], t)
@@ -518,6 +519,30 @@ def check_fidelity_identity(ctx):
     return worst < 1e-12, f"max identity defect {worst:.2e}"
 
 
+def check_exact_extremes(ctx):
+    """The closed-form extremes.  At t in {0.1, 1} no weight triple on the
+    simplex grid of step 1/100 gives either orthogonal pair a chi above
+    orthogonal_benchmark + 1e-12.  fidelity at the angles of
+    fidelity_extremes equals its values, and no random (theta, phi, t)
+    leaves [worst, best], each to 1e-12."""
+    tq = three_qubit
+    grid = [(i / 100, j / 100, (100 - i - j) / 100) for i in range(101) for j in range(101 - i)]
+    excess, d_at, outside = -math.inf, 0.0, -math.inf
+    for t in (0.1, 1.0):
+        for phi, value in zip((0.0, math.pi / 2), tq.orthogonal_benchmark(t)):
+            members = [tq._pure_qubit_coords(th, phi) for th in (math.pi / 2, -math.pi / 2)]
+            best = max(tq._chi_fast(w, [*members, tq.SYMMETRIC_COORDS], t) for w in grid)
+            excess = max(excess, best - value)
+    rng = np.random.default_rng(ctx["seed"] + 16)
+    for th, ph, t in rng.uniform(0, 1, (200, 3)) * [math.pi, 2 * math.pi, 3]:
+        (best, *best_at), (worst, *worst_at) = tq.fidelity_extremes(t)
+        d_at = max(d_at, abs(tq.fidelity(*best_at, t) - best), abs(tq.fidelity(*worst_at, t) - worst))
+        outside = max(outside, tq.fidelity(th, ph, t) - best, worst - tq.fidelity(th, ph, t))
+    ok = excess <= 1e-12 and d_at <= 1e-12 and outside <= 1e-12
+    return ok, (f"max grid chi - orthogonal benchmark {excess:.1e}; fidelity at the extreme "
+                f"angles {d_at:.1e}, max draw outside [worst, best] {outside:.1e}")
+
+
 def check_choi_psd(ctx):
     worst = 0.0
     for t in (0.0, 0.1, 1.0, 10.0):
@@ -634,6 +659,7 @@ CHECKS = [
     ("qutrit_ppt_time", True, check_qutrit_ppt_time),
     ("small_channel_layer", True, check_small_channel_layer),
     ("fidelity_identity", True, check_fidelity_identity),
+    ("exact_extremes", True, check_exact_extremes),
     ("choi_psd", True, check_choi_psd),
     ("haar_class_ks", False, check_haar_class_ks),
     ("kernel_semigroup_ks", False, check_kernel_semigroup_ks),

@@ -4,7 +4,8 @@ Every label is a twice-j integer (j = 1/2 is 1).  All coefficients use the
 Condon-Shortley phase convention and are evaluated in double precision
 through Racah's single-sum formulas with a precomputed log-factorial table
 and compensated summation.  Selection-rule violations return 0.0 rather
-than raising, so callers may sum freely over index ranges.
+than raising, so callers may sum freely over index ranges; labels beyond
+the table (MAX_TJ_CG, MAX_TJ_SIXJ) raise ValueError.
 """
 
 from __future__ import annotations
@@ -20,6 +21,17 @@ from .halfint import projection_valid, twice_labels
 # spins (arguments bounded by 4*N + 4).
 _TABLE_SIZE = 256
 _LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, _TABLE_SIZE)))))
+#: Largest twice-j labels whose Racah sums stay inside the table: the largest
+#: factorial argument is (tj1 + tj2 + tJ)/2 + 1 for a Clebsch-Gordan
+#: coefficient and at most 2 max(tj) + 1 for a 6j symbol.
+MAX_TJ_CG, MAX_TJ_SIXJ = 2 * (_TABLE_SIZE - 2) // 3, (_TABLE_SIZE - 2) // 2
+
+
+def _check_table(limit: int, *tjs: int):
+    """Raise before any table lookup if a twice-j label exceeds limit."""
+    if max(tjs) > limit:
+        raise ValueError(f"twice-j labels above {limit} exceed the log-factorial table, "
+                         f"got {max(tjs)}")
 
 
 def _lf(n: int) -> float:
@@ -64,6 +76,7 @@ def clebsch_gordan(tj1, tm1, tj2, tm2, tJ, tM) -> float:
     """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention, from twice-j
     labels."""
     tj1, tm1, tj2, tm2, tJ, tM = twice_labels(tj1, tm1, tj2, tm2, tJ, tM)
+    _check_table(MAX_TJ_CG, tj1, tj2, tJ)
     if not (
         projection_valid(tj1, tm1)
         and projection_valid(tj2, tm2)
@@ -140,7 +153,9 @@ def _sixj_t(t1: int, t2: int, t3: int, t4: int, t5: int, t6: int) -> float:
 def wigner_6j(tj1, tj2, tj3, tj4, tj5, tj6) -> float:
     """Wigner 6j symbol {j1 j2 j3; j4 j5 j6} of twice-j labels; 0 on any
     triad violation."""
-    return _sixj_t(*twice_labels(tj1, tj2, tj3, tj4, tj5, tj6))
+    labels = twice_labels(tj1, tj2, tj3, tj4, tj5, tj6)
+    _check_table(MAX_TJ_SIXJ, *labels)
+    return _sixj_t(*labels)
 
 
 def recoupling_u(tj1, tj2, tJ, tj3, tj12, tj23) -> float:
@@ -151,6 +166,7 @@ def recoupling_u(tj1, tj2, tJ, tj3, tj12, tj23) -> float:
     the exponent is an integer whenever the triads are valid.
     """
     t1, t2, tJ, t3, t12, t23 = twice_labels(tj1, tj2, tJ, tj3, tj12, tj23)
+    _check_table(MAX_TJ_SIXJ, t1, t2, tJ, t3, t12, t23)
     if not (
         triangle_ok(t1, t2, t12)
         and triangle_ok(t12, t3, tJ)

@@ -18,9 +18,10 @@ from su2drift.channel import (
 
 
 def test_spec_validation():
-    for n in (0, numerics.N_CAPS["apply"] + 1):
+    for n in (0, numerics.N_CAPS["apply"] + 1, 3.0, 2.5, True, "3"):
         with pytest.raises(ValueError):
             ChannelSpec(n, 1.0)
+    assert ChannelSpec(np.int64(3), 1.0).n == 3
     with pytest.raises(ValueError):
         choi_matrix(ChannelSpec(numerics.N_CAPS["choi"] + 1, 1.0))
     for t in (-0.1, math.nan, math.inf):

@@ -105,8 +105,13 @@ def test_cli_channel_choi_qutrit(tmp_path, capsys):
 def test_cli_three_fidelity(capsys):
     code = main("three fidelity --t 0.5".split())
     assert code == 0
-    out = capsys.readouterr().out
-    assert "average:" in out
+    best, worst, average = capsys.readouterr().out.strip().split("\n")
+    et, e2t = math.exp(-0.5), math.exp(-1.0)
+    assert best == (f"best  f={(24 + 25 * et - e2t) / 48:.17g} "
+                    f"at theta={math.acos(-0.25):.6f} phi=0.000000")
+    assert worst == (f"worst f={(12 - et + 13 * e2t) / 24:.17g} "
+                     f"at theta={math.pi / 3:.6f} phi={math.pi / 2:.6f}")
+    assert average.startswith("average:")
 
 
 def test_cli_three_threshold(tmp_path, capsys):
@@ -148,6 +153,17 @@ def test_cli_three_sweep(tmp_path, capsys):
     for line in lines[1:]:
         capacity, upper, gap = map(float, line.split(",")[1:4])
         assert upper >= capacity and gap == upper - capacity
+    # the orthogonal sweep puts the best and worst orthogonal pairs below the capacity
+    dst = tmp_path / "orth.csv"
+    code = main(f"three sweep --quantity orthogonal --t-from 0.5 --t-to 1 --t-steps 2 "
+                f"--restarts 1 --out {dst}".split())
+    assert code == 0
+    lines = dst.read_text().strip().split("\n")
+    assert lines[0] == "t,capacity,best_orthogonal,worst_orthogonal"
+    assert len(lines) == 3
+    for line in lines[1:]:
+        capacity, best, worst = map(float, line.split(",")[1:])
+        assert capacity >= best >= worst
 
 
 def _stub_checks(monkeypatch, *extra):
@@ -260,9 +276,13 @@ def test_cli_usage_error_exit_code(tmp_path, capsys, monkeypatch):
     src = tmp_path / "ones.json"
     serialize.save_density(str(src), np.ones((4, 4)))
     assert main(f"channel apply --n 2 --t 0.5 --in {src} --out {dst}".split()) == 2
+    # so is an --in that is not a JSON object, or a directory
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for bad in (listed, tmp_path):
+        assert main(f"channel apply --n 1 --t 0.5 --in {bad} --out {dst}".split()) == 2
     assert not dst.exists()
-    # a non-finite or negative diffusion time, or optimizer tolerance, is a
-    # usage error everywhere
+    # a non-finite or negative diffusion time is a usage error everywhere
     sweep = f"three sweep --quantity avg-fidelity --out {tmp_path / 'sweep.csv'}"
     for bad in ("nan", "inf", "-0.5"):
         assert main(["kernel", "eval", "--t", bad, "--xi", "1"]) == 2
@@ -271,7 +291,6 @@ def test_cli_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         assert main(["three", "fidelity", "--t", bad]) == 2
         assert main(sweep.split() + ["--t-from", bad, "--t-to", "1"]) == 2
         assert main(sweep.split() + ["--t-from", "0", "--t-to", bad]) == 2
-        assert main(sweep.split() + ["--t-from", "0", "--t-to", "1", "--opt-tol", bad]) == 2
         assert main(["channel", "mc-check", "--n", "2", "--t", bad]) == 2
         assert main(["channel", "choi", "--n", "2", "--t", bad,
                      "--out", str(dst)]) == 2
@@ -288,15 +307,29 @@ def test_cli_usage_error_exit_code(tmp_path, capsys, monkeypatch):
     assert not dst.exists()
     assert not (tmp_path / "sweep.csv").exists()
     assert not (tmp_path / "k.csv").exists()
-    # N beyond the cap table is rejected before any 2^N array is built
+    # N beyond the cap table, or not an integer, is rejected before any 2^N
+    # array is built
     assert main("channel mc-check --n 17 --t 0.5".split()) == 2
+    for bad in ("2.5", "3.0"):
+        assert main(f"channel choi --n {bad} --t 0.5 --out {dst}".split()) == 2
     assert main(f"channel choi --n 6 --t 0.5 --out {dst}".split()) == 2
     assert not dst.exists()
     assert "out of range" in capsys.readouterr().err
+    # so is a spin label beyond the log-factorial table
+    assert main("wigner sixj --tj1 300 --tj2 300 --tj3 300 --tj4 300 --tj5 300 "
+                "--tj6 300".split()) == 2
+    assert "log-factorial table" in capsys.readouterr().err
+    # and a negative seed, given as a flag or through SU2DRIFT_SEED
+    samples = tmp_path / "k.csv"
+    for cmd in ("verify --quick", f"kernel sample --t 0.5 --n 5 --out {samples}",
+                "channel mc-check --n 2 --t 0.5 --samples 10", f"{sweep} --t-from 0 --t-to 1"):
+        assert main(f"{cmd} --seed -1".split()) == 2
+    monkeypatch.setenv("SU2DRIFT_SEED", "-1")
+    assert main("verify --quick".split()) == 2
+    assert not samples.exists() and not (tmp_path / "sweep.csv").exists()
     # a non-integer SU2DRIFT_SEED is a usage error; an explicit --seed wins
     monkeypatch.setenv("SU2DRIFT_SEED", "abc")
     assert main("verify --quick".split()) == 2
-    samples = tmp_path / "k.csv"
     assert main(f"kernel sample --t 0.5 --n 5 --out {samples}".split()) == 2
     assert not samples.exists()
     assert main(f"kernel sample --t 0.5 --n 5 --seed 5 --out {samples}".split()) == 0

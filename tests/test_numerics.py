@@ -9,7 +9,6 @@ from su2drift import numerics
 from su2drift.numerics import (
     OptimizerConfig,
     nelder_mead_maximize,
-    softmax,
     sphere_quadrature,
     von_neumann_entropy,
 )
@@ -101,16 +100,6 @@ def test_optimizer_config_validation():
     for iters in (0, -5):
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=1, max_iters=iters)
-    for tol in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            OptimizerConfig(tolerance=tol)
-
-
-def test_softmax_properties():
-    w = softmax(np.array([0.0, 1.0, 2.0, 1000.0]))
-    assert sum(w) == pytest.approx(1.0, abs=1e-12)
-    assert min(w) >= 0
-    assert w[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sphere_quadrature_exact_rules():

@@ -122,6 +122,7 @@ def test_three_qubit_rejects_bad_time():
             lambda: tq.maximize_coherent_info(t),
             lambda: tq.maximize_holevo(t),
             lambda: tq.orthogonal_benchmark(t),
+            lambda: tq.fidelity_extremes(t),
         ):
             with pytest.raises(ValueError):
                 call()

@@ -19,6 +19,8 @@ from su2drift.coupling import (
 )
 from su2drift.halfint import projection_valid
 from su2drift.wigner import (
+    MAX_TJ_CG,
+    MAX_TJ_SIXJ,
     clebsch_gordan,
     recoupling_u,
     selection_ok_cg,
@@ -134,6 +136,23 @@ def test_sixj_large_arguments():
     got = wigner_6j(16, 16, 16, 16, 16, 16)
     ref = float(sympy_6j(*(S(8),) * 6))
     assert got == pytest.approx(ref, abs=1e-13)
+
+
+def test_labels_beyond_factorial_table_rejected():
+    # the largest labels each coefficient accepts evaluate; one more raises
+    # a ValueError naming the limit before any table lookup
+    assert wigner_6j(*(MAX_TJ_SIXJ - 1,) * 6) != 0.0
+    assert math.isfinite(recoupling_u(*(MAX_TJ_SIXJ,) * 4, MAX_TJ_SIXJ - 1, MAX_TJ_SIXJ - 1))
+    assert math.isfinite(clebsch_gordan(MAX_TJ_CG, 1, MAX_TJ_CG, -1, MAX_TJ_CG - 1, 0))
+    for call, labels, limit in (
+        (wigner_6j, (MAX_TJ_SIXJ + 1,) * 6, MAX_TJ_SIXJ),
+        (wigner_6j, (300,) * 6, MAX_TJ_SIXJ),
+        (recoupling_u, (200,) * 6, MAX_TJ_SIXJ),
+        (clebsch_gordan, (MAX_TJ_CG + 1, 0) * 3, MAX_TJ_CG),
+        (clebsch_gordan, (400, 0) * 3, MAX_TJ_CG),
+    ):
+        with pytest.raises(ValueError, match=f"above {limit} exceed the log-factorial table"):
+            call(*labels)
 
 
 def test_recoupling_u_resolves_basis_change():
