@@ -1,11 +1,12 @@
 """Clebsch-Gordan, Wigner 6j and three-spin recoupling coefficients.
 
 Every label is a twice-j integer (j = 1/2 is 1).  All coefficients use the
-Condon-Shortley phase convention and are evaluated in double precision
-through Racah's single-sum formulas with a precomputed log-factorial table
-and compensated summation.  Selection-rule violations return 0.0 rather
-than raising, so callers may sum freely over index ranges; labels beyond
-the table (MAX_TJ_CG, MAX_TJ_SIXJ) raise ValueError.
+Condon-Shortley phase convention and are evaluated exactly: Racah's single
+sum is one Python integer over a common denominator, its squared prefactor
+a ratio of factorials, and the result is rounded to double precision once.
+Selection-rule violations return 0.0 rather than raising, so callers may
+sum freely over index ranges.  The exact sums cost more as the labels grow,
+so a label above MAX_TJ raises ValueError.
 """
 
 from __future__ import annotations
@@ -13,30 +14,60 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
-
 from .halfint import projection_valid, twice_labels
 
-# Covers every factorial argument appearing in Racah sums up to N = 16
-# spins (arguments bounded by 4*N + 4).
-_TABLE_SIZE = 256
-_LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, _TABLE_SIZE)))))
-#: Largest twice-j labels whose Racah sums stay inside the table: the largest
-#: factorial argument is (tj1 + tj2 + tJ)/2 + 1 for a Clebsch-Gordan
-#: coefficient and at most 2 max(tj) + 1 for a 6j symbol.
-MAX_TJ_CG, MAX_TJ_SIXJ = 2 * (_TABLE_SIZE - 2) // 3, (_TABLE_SIZE - 2) // 2
+#: Largest twice-j label any coefficient accepts, a cap on cost alone: the
+#: costliest call at the cap, wigner_6j(*(MAX_TJ,) * 6), takes 0.2-0.3 s
+#: (clebsch_gordan at the cap 0.05-0.07 s) on a 2-core Intel Xeon host.
+MAX_TJ = 1000
+
+_fact = math.factorial
 
 
-def _check_table(limit: int, *tjs: int):
-    """Raise before any table lookup if a twice-j label exceeds limit."""
-    if max(tjs) > limit:
-        raise ValueError(f"twice-j labels above {limit} exceed the log-factorial table, "
-                         f"got {max(tjs)}")
+def _check_cap(*tjs: int):
+    """Raise if a checked twice-j label exceeds MAX_TJ."""
+    if max(tjs) > MAX_TJ:
+        raise ValueError(f"twice-j labels above MAX_TJ = {MAX_TJ} cost too much to "
+                         f"evaluate, got {max(tjs)}")
 
 
-def _lf(n: int) -> float:
-    """log(n!) from the table; n must be a non-negative int within range."""
-    return _LOG_FACT[n]
+def _alternating_sum(lo, hi, rising, falling, weight=None) -> tuple:
+    """Exact integers (s, c) with s / c the sum over k = lo..hi of
+    (-1)^k w(k) / (prod_r (k + r)! prod_f (f - k)!), where w is weight or 1.
+
+    c is the product of each factorial at its largest argument, so every
+    term is an integer multiple of 1 / c: a product of math.perm ratios.
+    """
+    c = 1
+    for r in rising:
+        c *= _fact(hi + r)
+    for f in falling:
+        c *= _fact(f - lo)
+    s = 0
+    for k in range(lo, hi + 1):
+        term = weight(k) if weight else 1
+        for r in rising:
+            term *= math.perm(hi + r, hi - k)
+        for f in falling:
+            term *= math.perm(f - lo, k - lo)
+        s += -term if k % 2 else term
+    return s, c
+
+
+def _signed_root(s: int, num: int, den: int) -> float:
+    """sign(s) sqrt(num s^2 / den) from exact integers, rounded once.
+
+    Neither s nor the square is ever a float: float(s) overflows, and the
+    square of a coefficient near 1e-180 underflows, at large labels.
+    """
+    if s == 0:
+        return 0.0
+    num *= s * s
+    # scale by 4^e so that the integer root carries at least 64 bits
+    e = (den.bit_length() - num.bit_length()) // 2 + 66
+    q = (num << 2 * e) // den if e >= 0 else num // (den << -2 * e)
+    root = math.ldexp(math.isqrt(q), -e)
+    return root if s > 0 else -root
 
 
 def triangle_ok(ta: int, tb: int, tc: int) -> bool:
@@ -50,19 +81,14 @@ def triangle_ok(ta: int, tb: int, tc: int) -> bool:
     )
 
 
-def _delta_log(ta: int, tb: int, tc: int) -> float:
-    """log of the triangle coefficient Delta(a,b,c)."""
-    return 0.5 * (
-        _lf((ta + tb - tc) // 2)
-        + _lf((ta - tb + tc) // 2)
-        + _lf((-ta + tb + tc) // 2)
-        - _lf((ta + tb + tc) // 2 + 1)
-    )
+def _delta_sq(ta: int, tb: int, tc: int) -> tuple:
+    """Triangle coefficient Delta(a,b,c)^2 as (numerator, denominator)."""
+    s = (ta + tb + tc) // 2
+    return _fact(s - tc) * _fact(s - tb) * _fact(s - ta), _fact(s + 1)
 
 
-def selection_ok_cg(tj1, tm1, tj2, tm2, tJ, tM) -> bool:
-    """True when the Clebsch-Gordan selection rules allow a nonzero value."""
-    tj1, tm1, tj2, tm2, tJ, tM = twice_labels(tj1, tm1, tj2, tm2, tJ, tM)
+def _selection_ok(tj1, tm1, tj2, tm2, tJ, tM) -> bool:
+    """Clebsch-Gordan selection rules on unchecked twice-j ints."""
     return (
         projection_valid(tj1, tm1)
         and projection_valid(tj2, tm2)
@@ -72,49 +98,27 @@ def selection_ok_cg(tj1, tm1, tj2, tm2, tJ, tM) -> bool:
     )
 
 
+def selection_ok_cg(tj1, tm1, tj2, tm2, tJ, tM) -> bool:
+    """True when the Clebsch-Gordan selection rules allow a nonzero value."""
+    return _selection_ok(*twice_labels(tj1, tm1, tj2, tm2, tJ, tM))
+
+
 def clebsch_gordan(tj1, tm1, tj2, tm2, tJ, tM) -> float:
     """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention, from twice-j
     labels."""
-    tj1, tm1, tj2, tm2, tJ, tM = twice_labels(tj1, tm1, tj2, tm2, tJ, tM)
-    _check_table(MAX_TJ_CG, tj1, tj2, tJ)
-    if not (
-        projection_valid(tj1, tm1)
-        and projection_valid(tj2, tm2)
-        and projection_valid(tJ, tM)
-    ):
+    tj1, tm1, tj2, tm2, tJ, tM = labels = twice_labels(tj1, tm1, tj2, tm2, tJ, tM)
+    _check_cap(tj1, tj2, tJ)
+    if not _selection_ok(*labels):
         return 0.0
-    if tm1 + tm2 != tM or not triangle_ok(tj1, tj2, tJ):
-        return 0.0
-
-    log_pre = (
-        math.log(tJ + 1)
-        + 2.0 * _delta_log(tj1, tj2, tJ)
-        + _lf((tj1 + tm1) // 2)
-        + _lf((tj1 - tm1) // 2)
-        + _lf((tj2 + tm2) // 2)
-        + _lf((tj2 - tm2) // 2)
-        + _lf((tJ + tM) // 2)
-        + _lf((tJ - tM) // 2)
-    )
-
-    # Racah sum over k; all factorial arguments below are integers.
-    k_min = max(0, (tj2 - tJ - tm1) // 2, (tj1 + tm2 - tJ) // 2)
-    k_max = min(
-        (tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
-    )
-    terms = []
-    for k in range(k_min, k_max + 1):
-        log_den = (
-            _lf(k)
-            + _lf((tj1 + tj2 - tJ) // 2 - k)
-            + _lf((tj1 - tm1) // 2 - k)
-            + _lf((tj2 + tm2) // 2 - k)
-            + _lf((tJ - tj2 + tm1) // 2 + k)
-            + _lf((tJ - tj1 - tm2) // 2 + k)
-        )
-        sign = -1.0 if k % 2 else 1.0
-        terms.append(sign * math.exp(0.5 * log_pre - log_den))
-    return math.fsum(terms)
+    num, den = _delta_sq(tj1, tj2, tJ)
+    num *= tJ + 1
+    for tj, tm in ((tj1, tm1), (tj2, tm2), (tJ, tM)):
+        num *= _fact((tj + tm) // 2) * _fact((tj - tm) // 2)
+    # Racah's sum over k; all factorial arguments are integers
+    a, b, c = (tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    d, e = (tJ - tj2 + tm1) // 2, (tJ - tj1 - tm2) // 2
+    s, common = _alternating_sum(max(0, -d, -e), min(a, b, c), (0, d, e), (a, b, c))
+    return _signed_root(s, num, den * common * common)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -123,38 +127,25 @@ def _sixj_t(t1: int, t2: int, t3: int, t4: int, t5: int, t6: int) -> float:
     triads = ((t1, t2, t3), (t1, t5, t6), (t4, t2, t6), (t4, t5, t3))
     if not all(triangle_ok(*tr) for tr in triads):
         return 0.0
-
-    log_delta = sum(_delta_log(*tr) for tr in triads)
-    s1 = (t1 + t2 + t3) // 2
-    s2 = (t1 + t5 + t6) // 2
-    s3 = (t4 + t2 + t6) // 2
-    s4 = (t4 + t5 + t3) // 2
-    q1 = (t1 + t2 + t4 + t5) // 2
-    q2 = (t2 + t3 + t5 + t6) // 2
-    q3 = (t3 + t1 + t6 + t4) // 2
-
-    terms = []
-    for z in range(max(s1, s2, s3, s4), min(q1, q2, q3) + 1):
-        log_num = _lf(z + 1)
-        log_den = (
-            _lf(z - s1)
-            + _lf(z - s2)
-            + _lf(z - s3)
-            + _lf(z - s4)
-            + _lf(q1 - z)
-            + _lf(q2 - z)
-            + _lf(q3 - z)
-        )
-        sign = -1.0 if z % 2 else 1.0
-        terms.append(sign * math.exp(log_delta + log_num - log_den))
-    return math.fsum(terms)
+    num = den = 1
+    for tr in triads:
+        n, d = _delta_sq(*tr)
+        num, den = num * n, den * d
+    s1, s2, s3, s4 = (sum(tr) // 2 for tr in triads)
+    q1, q2, q3 = (t1 + t2 + t4 + t5) // 2, (t2 + t3 + t5 + t6) // 2, (t3 + t1 + t6 + t4) // 2
+    # (z+1)! / (z-s1)! is the integer weight perm(z+1, s1+1)
+    s, common = _alternating_sum(
+        max(s1, s2, s3, s4), min(q1, q2, q3), (-s2, -s3, -s4), (q1, q2, q3),
+        lambda z: math.perm(z + 1, s1 + 1),
+    )
+    return _signed_root(s, num, den * common * common)
 
 
 def wigner_6j(tj1, tj2, tj3, tj4, tj5, tj6) -> float:
     """Wigner 6j symbol {j1 j2 j3; j4 j5 j6} of twice-j labels; 0 on any
     triad violation."""
     labels = twice_labels(tj1, tj2, tj3, tj4, tj5, tj6)
-    _check_table(MAX_TJ_SIXJ, *labels)
+    _check_cap(*labels)
     return _sixj_t(*labels)
 
 
@@ -163,19 +154,13 @@ def recoupling_u(tj1, tj2, tJ, tj3, tj12, tj23) -> float:
     from twice-j labels.
 
     Equals sqrt((2j12+1)(2j23+1)) (-1)^(j1+j2+J+j3) {j1 j2 j12; j3 J j23};
-    the exponent is an integer whenever the triads are valid.
+    the 6j symbol is 0 unless its four triads hold, and then the exponent
+    is an integer.
     """
-    t1, t2, tJ, t3, t12, t23 = twice_labels(tj1, tj2, tJ, tj3, tj12, tj23)
-    _check_table(MAX_TJ_SIXJ, t1, t2, tJ, t3, t12, t23)
-    if not (
-        triangle_ok(t1, t2, t12)
-        and triangle_ok(t12, t3, tJ)
-        and triangle_ok(t2, t3, t23)
-        and triangle_ok(t1, t23, tJ)
-    ):
-        return 0.0
+    t1, t2, tJ, t3, t12, t23 = labels = twice_labels(tj1, tj2, tJ, tj3, tj12, tj23)
+    _check_cap(*labels)
     sixj = _sixj_t(t1, t2, t12, t3, tJ, t23)
-    phase_twice = t1 + t2 + tJ + t3
-    sign = -1.0 if (phase_twice // 2) % 2 else 1.0
+    if sixj == 0.0:
+        return 0.0
+    sign = -1.0 if ((t1 + t2 + tJ + t3) // 2) % 2 else 1.0
     return math.sqrt((t12 + 1) * (t23 + 1)) * sign * sixj
-

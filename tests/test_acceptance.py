@@ -19,8 +19,9 @@ from conftest import VERIFY_SEED, record_criterion
 
 
 def test_criterion_1_algebra_gates():
-    """CG orthogonality for all j <= 3 within 1e-12, 6j symmetry and
-    recoupling unitarity within 1e-13, as the verify checks run them."""
+    """CG orthogonality for all j <= 3 and three fixed-M blocks at twice-j
+    60-84 within 1e-14, 6j symmetry exact and recoupling unitarity within
+    1e-13, as the verify checks run them."""
     ctx = {"seed": VERIFY_SEED}
     results = [
         verify.check_cg_orthogonality(ctx),
@@ -28,7 +29,7 @@ def test_criterion_1_algebra_gates():
         verify.check_recoupling_unitarity(ctx),
     ]
     ok = all(r[0] for r in results)
-    record_criterion("1 algebra gates (tol 1e-12; 6j, recoupling 1e-13)", ok,
+    record_criterion("1 algebra gates (CG tol 1e-14; 6j symmetry exact; recoupling 1e-13)", ok,
                      "; ".join(r[1] for r in results))
     assert ok
 

@@ -8,6 +8,7 @@ import pytest
 
 from su2drift import serialize, three_qubit, verify
 from su2drift.cli import main
+from su2drift.wigner import MAX_TJ
 
 
 def test_density_json_roundtrip(tmp_path):
@@ -315,14 +316,15 @@ def test_cli_usage_error_exit_code(tmp_path, capsys, monkeypatch):
     assert main(f"channel choi --n 6 --t 0.5 --out {dst}".split()) == 2
     assert not dst.exists()
     assert "out of range" in capsys.readouterr().err
-    # so is a spin label beyond the log-factorial table
-    assert main("wigner sixj --tj1 300 --tj2 300 --tj3 300 --tj4 300 --tj5 300 "
-                "--tj6 300".split()) == 2
-    assert "log-factorial table" in capsys.readouterr().err
+    # so is a spin label beyond the cost cap
+    big = MAX_TJ + 2
+    assert main(f"wigner sixj --tj1 {big} --tj2 {big} --tj3 {big} --tj4 {big} --tj5 {big} "
+                f"--tj6 {big}".split()) == 2
+    assert f"above MAX_TJ = {MAX_TJ}" in capsys.readouterr().err
     # and a negative seed, given as a flag or through SU2DRIFT_SEED
     samples = tmp_path / "k.csv"
     for cmd in ("verify --quick", f"kernel sample --t 0.5 --n 5 --out {samples}",
-                "channel mc-check --n 2 --t 0.5 --samples 10", f"{sweep} --t-from 0 --t-to 1"):
+                "channel mc-check --n 2 --t 0.5 --samples 1000", f"{sweep} --t-from 0 --t-to 1"):
         assert main(f"{cmd} --seed -1".split()) == 2
     monkeypatch.setenv("SU2DRIFT_SEED", "-1")
     assert main("verify --quick".split()) == 2

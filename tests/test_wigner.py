@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -19,8 +20,7 @@ from su2drift.coupling import (
 )
 from su2drift.halfint import projection_valid
 from su2drift.wigner import (
-    MAX_TJ_CG,
-    MAX_TJ_SIXJ,
+    MAX_TJ,
     clebsch_gordan,
     recoupling_u,
     selection_ok_cg,
@@ -138,20 +138,41 @@ def test_sixj_large_arguments():
     assert got == pytest.approx(ref, abs=1e-13)
 
 
-def test_labels_beyond_factorial_table_rejected():
-    # the largest labels each coefficient accepts evaluate; one more raises
-    # a ValueError naming the limit before any table lookup
-    assert wigner_6j(*(MAX_TJ_SIXJ - 1,) * 6) != 0.0
-    assert math.isfinite(recoupling_u(*(MAX_TJ_SIXJ,) * 4, MAX_TJ_SIXJ - 1, MAX_TJ_SIXJ - 1))
-    assert math.isfinite(clebsch_gordan(MAX_TJ_CG, 1, MAX_TJ_CG, -1, MAX_TJ_CG - 1, 0))
-    for call, labels, limit in (
-        (wigner_6j, (MAX_TJ_SIXJ + 1,) * 6, MAX_TJ_SIXJ),
-        (wigner_6j, (300,) * 6, MAX_TJ_SIXJ),
-        (recoupling_u, (200,) * 6, MAX_TJ_SIXJ),
-        (clebsch_gordan, (MAX_TJ_CG + 1, 0) * 3, MAX_TJ_CG),
-        (clebsch_gordan, (400, 0) * 3, MAX_TJ_CG),
+def test_large_labels_against_symbolic_oracle():
+    # alternating Racah sums in floating point lose every digit of the CG here
+    ref_cg = float(CG(Rational(169, 2), Rational(1, 2), Rational(169, 2), Rational(-1, 2),
+                      84, 0).doit())
+    assert clebsch_gordan(169, 1, 169, -1, 168, 0) == pytest.approx(ref_cg, rel=1e-14)
+    ref_6j = float(sympy_6j(*(S(63),) * 6))
+    assert wigner_6j(*(126,) * 6) == pytest.approx(ref_6j, rel=1e-14)
+
+
+def test_exact_zero_and_tiny_coefficients():
+    # a 6j symbol that vanishes without a selection rule is exactly 0
+    assert wigner_6j(2, 3, 3, 7, 6, 6) == 0.0
+    # <j j; j -j | 2j 0> = (2j)! / sqrt((4j)!) at the largest j the cap allows,
+    # about 1.9e-150, whose square underflows a double
+    tj = MAX_TJ // 2
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ref = Decimal(math.factorial(tj)) / Decimal(math.factorial(2 * tj)).sqrt()
+    assert clebsch_gordan(tj, tj, tj, -tj, 2 * tj, 0) == pytest.approx(float(ref), rel=1e-14)
+
+
+def test_labels_beyond_cost_cap_rejected():
+    # one cap serves every coefficient: labels at MAX_TJ evaluate (closed
+    # forms with one Racah term), one more raises a ValueError naming it
+    top = MAX_TJ
+    assert clebsch_gordan(top, top, top, -top, 0, 0) == pytest.approx(1 / math.sqrt(top + 1),
+                                                                    rel=1e-15)
+    assert wigner_6j(top, top, 0, top, top, 0) == pytest.approx(1 / (top + 1), rel=1e-15)
+    assert recoupling_u(top, top, top, 0, top, top) == pytest.approx(1.0, rel=1e-15)
+    for call, labels in (
+        (wigner_6j, (top + 1,) * 6),
+        (recoupling_u, (top + 1,) * 6),
+        (clebsch_gordan, (top + 1, 1, top + 1, -1, 0, 0)),
     ):
-        with pytest.raises(ValueError, match=f"above {limit} exceed the log-factorial table"):
+        with pytest.raises(ValueError, match=f"above MAX_TJ = {MAX_TJ}"):
             call(*labels)
 
 
