@@ -10,7 +10,8 @@ embedded as a dense matrix.  channel_apply validates its input; the
 unchecked linear core _apply_linear also serves the Choi matrix and the
 three-qubit bridge.  A Monte Carlo integrator over the same noise model
 is an independent oracle: it draws independent samples, each a Markov chain
-of rotations along the register, and conjugates them in cache-sized slices.
+of rotations along the register, and turns the input's real Pauli
+coordinates by each sample's 4x4 adjoint factors, in cache-sized slices.
 """
 
 from __future__ import annotations
@@ -25,10 +26,13 @@ from .halfint import twice_labels
 from .wigner import _sixj_t, triangle_ok
 
 #: Samples whose group elements monte_carlo_channel draws per chunk, at
-#: every N: a chunk holds only its N quaternions and 2x2 matrices per sample.
+#: every N: a chunk holds only its N quaternions per sample.
 MC_CHUNK = 20000
-#: Complex entries (1 MB) of one (slice, 2^N, 2^N) array conjugated by
-#: monte_carlo_channel: a slice stays in cache at any sample count.
+#: Real Pauli coordinates (512 kB) of one (slice, 4^N) array turned by
+#: monte_carlo_channel, so a slice stays in cache at any sample count, and
+#: the most Gram-block entries one update builds at once.  Above N = 6 a
+#: slice holds 2^N / 4 samples instead (a quarter of the 8^N Gram entries),
+#: so that each pass over the blocks serves at least 32 samples.
 MC_SLICE_ENTRIES = 1 << 16
 #: Added to each standard error in max_deviation_sigma, so an entry with
 #: zero sample variance does not divide by zero.
@@ -168,6 +172,29 @@ class MonteCarloResult:
         return float(max(dev_re.max(), dev_im.max()))
 
 
+@lru_cache(maxsize=16)
+def _pauli_tables(N: int) -> tuple:
+    """Read-only index tables of the N-qubit Pauli strings P(f, s).
+
+    f and s are N-bit flip and sign strings, qubit 0 the leading bit, and
+    P(f, s)[a, a^f] = (-1)^(s.a) (-i)^|f & s| is the only nonzero entry of
+    row a: per qubit (0, 0) is I, (0, 1) Z, (1, 0) X and (1, 1) Y.  Returns
+    the Walsh-Hadamard matrix (-1)^(a.s), the phases (-i)^|f & s| indexed
+    [f, s], and for each string in class-major order (f, s) its position in
+    the qubit-major order of the adjoint factors, whose qubits each run
+    (I, X, Y, Z) as in su2.quat_to_adjoint.
+    """
+    bits = (np.arange(2**N)[:, None] >> np.arange(N - 1, -1, -1)) & 1
+    overlap = bits @ bits.T
+    hadamard = 1.0 - 2.0 * (overlap % 2)
+    phase = (-1j) ** (overlap % 4)
+    qubit_pos = np.array([[0, 3], [1, 2]])[bits[:, None, :], bits[None, :, :]]  # [f, s, qubit]
+    order = (qubit_pos @ 4 ** np.arange(N - 1, -1, -1)).ravel()
+    for table in (hadamard, phase, order):
+        table.setflags(write=False)
+    return hadamard, phase, order
+
+
 def monte_carlo_channel(
     rho: np.ndarray,
     spec: ChannelSpec,
@@ -177,21 +204,34 @@ def monte_carlo_channel(
     """Monte Carlo estimate of the channel output.
 
     Draws U_1 from Haar, then U_i = U'_i U_{i-1} with U'_i diffusion
-    distributed, and averages the input conjugated in slices of about
-    MC_SLICE_ENTRIES entries.  Deterministic for a fixed seed; standard
-    errors come from running sums of x and x^2 over the float view of the
-    outputs (real and imaginary parts interleaved), taken about the first
+    distributed, and averages U rho U^H, U = U_1 (x) ... (x) U_N, in the
+    real Pauli coordinates c(f, s) = Tr P(f, s) rho (see _pauli_tables): a
+    sample maps c to (O_1 (x) ... (x) O_N) c, O_i = su2.quat_to_adjoint(U_i).
+    The factors act qubit by qubit on slices of about MC_SLICE_ENTRIES
+    coordinates, each batched product contracting the leading qubit axis
+    and appending the turned one.  Output entry [a, a^f] is a signed
+    Walsh-Hadamard sum of the 2^N coordinates of flip class f, so its
+    standard errors follow from running sums of the coordinates and one
+    2^N x 2^N Gram block per class (8^N doubles), all taken about the first
     sample so that near-constant entries do not cancel catastrophically.
-    Rejects an input that is not a 2^N-dimensional density matrix.
+    Deterministic for a fixed seed.  Rejects an input that is not a
+    2^N-dimensional density matrix.
     """
     if samples < 1000:
         raise ValueError("need at least 10^3 samples")
     N, t = spec.n, spec.t
     d = 2**N
     rho = numerics.validate_density(rho, d)
+    hadamard, phase, order = _pauli_tables(N)
+    a = np.arange(d)
+    # c(f, s) = (-i)^|f & s| sum_a (-1)^(s.a) rho[a^f, a], stored qubit-major
+    coords = np.empty(d * d)
+    coords[order] = (phase * (rho[a ^ a[:, None], a] @ hadamard)).real.ravel()
+    start = coords.reshape(4, -1).T  # [qubits 1.., qubit 0]
     rng = np.random.default_rng(seed)
-    shift = total = squares = None
-    step = max(1, MC_SLICE_ENTRIES // d**2)
+    shift = total = gram = None
+    classes = max(1, MC_SLICE_ENTRIES // d**2)  # Gram blocks one update builds
+    step = max(classes, d // 4)  # samples per slice
     done = 0
     while done < samples:
         b = min(MC_CHUNK, samples - done)
@@ -201,21 +241,31 @@ def monte_carlo_channel(
             if t > 0:
                 q = su2.quat_mul(su2.heat_kernel_quat(t, rng, b), q)
             quats.append(q)
-        mats = su2.quat_to_matrix(np.stack(quats, axis=1))
-        for m in np.split(mats, range(step, b, step)):
-            big = m[:, 0]
+        quats = np.stack(quats, axis=1)
+        for qs in np.split(quats, range(step, b, step)):
+            adj_t = su2.quat_to_adjoint(qs).transpose(0, 1, 3, 2)
+            x = start @ adj_t[:, 0]
             for k in range(1, N):
-                dim = 2 * big.shape[-1]
-                big = (big[:, :, None, :, None] * m[:, k, None, :, None, :]).reshape(-1, dim, dim)
-            x = (big @ rho @ big.conj().transpose(0, 2, 1)).view(float)
+                x = x.reshape(len(qs), 4, -1).transpose(0, 2, 1) @ adj_t[:, k]
+            x = x.reshape(len(qs), d * d)[:, order]  # class-major [sample, f, s]
             if shift is None:
                 shift = x[0].copy()
-                total, squares = np.zeros_like(shift), np.zeros_like(shift)
+                total, gram = np.zeros(d * d), np.zeros((d, d, d))
             x -= shift
             total += x.sum(axis=0)
-            squares += np.einsum("sij,sij->ij", x, x)
+            x = x.reshape(-1, d, d)
+            for lo in range(0, d, classes):
+                blk = x[:, lo:lo + classes]
+                gram[lo:lo + classes] += np.matmul(blk.transpose(1, 2, 0), blk.transpose(1, 0, 2))
         done += b
-    mean = total / samples
-    var = np.maximum(squares - samples * mean**2, 0.0) / (samples - 1)
-    stderr = np.sqrt(var / samples)
-    return MonteCarloResult((mean + shift).view(complex), stderr[:, ::2], stderr[:, 1::2], samples)
+    mean = (total / samples).reshape(d, d)
+    out = np.empty((d, d), dtype=complex)
+    out[a, a ^ a[:, None]] = (phase * (mean + shift.reshape(d, d))) @ hadamard / d
+    stderr = np.empty((2, d, d))
+    for f in range(d):
+        cov = (gram[f] - samples * np.outer(mean[f], mean[f])) / (samples - 1)
+        coef = phase[f] * hadamard / d  # [a, s]: entry [a, a^f] per coordinate
+        parts = np.concatenate((coef.real, coef.imag))
+        var = np.einsum("is,is->i", parts @ cov, parts)
+        stderr[:, a, a ^ f] = np.sqrt(np.maximum(var, 0.0) / samples).reshape(2, d)
+    return MonteCarloResult(out, stderr[0], stderr[1], samples)

@@ -5,7 +5,8 @@ A group element is a unit quaternion q = (w, x, y, z), and a batch of them
 is a (..., 4) array; q stands for the matrix
 U = w*I - i*(x*sx + y*sy + z*sz), so Tr U = 2w and the class angle
 satisfies w = cos(xi/2).  quat_mul composes elements, quat_to_matrix gives
-their 2x2 matrices, and class angles are plain floats or float arrays.
+their 2x2 matrices, quat_to_adjoint their real 4x4 action on the Pauli
+operators, and class angles are plain floats or float arrays.
 The diffusion density at time t is expanded in characters over all irreps
 j = 0, 1/2, 1, ... with coefficients exp(-j(j+1)t/2); the expansion is
 truncated by a geometric tail bound.
@@ -49,6 +50,27 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     out[..., 0, 1] = -y - 1j * x
     out[..., 1, 0] = y - 1j * x
     out[..., 1, 1] = w + 1j * z
+    return out
+
+
+def quat_to_adjoint(q: np.ndarray) -> np.ndarray:
+    """Real 4x4 adjoint matrices O = 1 (+) R of quaternions in the basis
+    (I, X, Y, Z): U sigma_b U^H = sum_a O_ab sigma_a, with R the rotation of
+    the Bloch vector.  Batched over leading axes; O(-q) = O(q)."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    out = np.zeros(q.shape[:-1] + (4, 4))
+    out[..., 0, 0] = 1.0
+    out[..., 1, 1] = ww + xx - yy - zz
+    out[..., 2, 2] = ww - xx + yy - zz
+    out[..., 3, 3] = ww - xx - yy + zz
+    out[..., 1, 2] = 2.0 * (x * y - w * z)
+    out[..., 2, 1] = 2.0 * (x * y + w * z)
+    out[..., 1, 3] = 2.0 * (x * z + w * y)
+    out[..., 3, 1] = 2.0 * (x * z - w * y)
+    out[..., 2, 3] = 2.0 * (y * z - w * x)
+    out[..., 3, 2] = 2.0 * (y * z + w * x)
     return out
 
 

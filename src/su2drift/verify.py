@@ -148,6 +148,27 @@ def check_recoupling_unitarity(ctx):
     return worst < 1e-13, f"max unitarity defect {worst:.2e}"
 
 
+def check_adjoint_representation(ctx):
+    """The oracle for su2.quat_to_adjoint, on 200 seeded random pairs of
+    quaternions, each to 1e-14: U sigma_b U^H = sum_a O_ab sigma_a with U
+    from quat_to_matrix; O^T O = 1 and det O = +1; O(q1 q2) = O(q1) O(q2)
+    through quat_mul; and O(-q) = O(q).  An adjoint with R transposed fails
+    the first and the third."""
+    rng = np.random.default_rng(ctx["seed"] + 17)
+    q1, q2 = su2.haar_quat(rng, 200), su2.haar_quat(rng, 200)
+    sigma = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    u, o = su2.quat_to_matrix(q1), su2.quat_to_adjoint(q1)
+    d_conj = np.abs(u[:, None] @ sigma @ u[:, None].conj().swapaxes(-1, -2)
+                    - np.einsum("nab,aij->nbij", o, sigma)).max()
+    d_orth = max(np.abs(o.swapaxes(-1, -2) @ o - np.eye(4)).max(),
+                 np.abs(np.linalg.det(o) - 1.0).max())
+    d_hom = np.abs(su2.quat_to_adjoint(su2.quat_mul(q1, q2)) - o @ su2.quat_to_adjoint(q2)).max()
+    d_sign = np.abs(su2.quat_to_adjoint(-q1) - o).max()
+    ok = max(d_conj, d_orth, d_hom, d_sign) <= 1e-14
+    return ok, (f"conjugation {d_conj:.1e}, orthogonality {d_orth:.1e}, "
+                f"homomorphism {d_hom:.1e}, sign {d_sign:.1e}")
+
+
 def check_kernel_normalization(ctx):
     worst = 0.0
     xi = np.linspace(0.0, su2.TWO_PI, 30001)
@@ -640,6 +661,7 @@ CHECKS = [
     ("sixj_symmetry", True, check_sixj_symmetry),
     ("sixj_orthogonality", True, check_sixj_orthogonality),
     ("recoupling_unitarity", True, check_recoupling_unitarity),
+    ("adjoint_representation", True, check_adjoint_representation),
     ("kernel_normalization", True, check_kernel_normalization),
     ("kernel_positivity", True, check_kernel_positivity),
     ("coefficient_semigroup", True, check_coefficient_semigroup),

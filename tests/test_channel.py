@@ -225,26 +225,31 @@ def _monte_carlo_by_whole_chunks(rho, N, t, samples, seed):
     return mean_re + 1j * mean_im, se_re, se_im
 
 
+def _assert_matches_whole_chunks(rho, n, t, samples, seed, mean_tol, stderr_rel_tol):
+    got = monte_carlo_channel(rho, ChannelSpec(n, t), samples, seed=seed)
+    mean, se_re, se_im = _monte_carlo_by_whole_chunks(rho, n, t, samples, seed)
+    assert np.abs(got.mean - mean).max() <= mean_tol, (n, t)
+    for se_got, se_ref in ((got.stderr_re, se_re), (got.stderr_im, se_im)):
+        assert np.abs(se_got - se_ref).max() <= stderr_rel_tol * se_ref.max(), (n, t)
+
+
 def test_monte_carlo_slices_match_whole_chunks():
     # 45000 samples make chunks of 20000, 20000 and 5000; the slices must
     # reproduce the same draws and the same pooled mean and spread
     rng = np.random.default_rng(29)
     for n in (2, 3, 4):
         rho = verify._random_density(rng, 2**n)
-        got = monte_carlo_channel(rho, ChannelSpec(n, 0.5), 45000, seed=40 + n)
-        mean, se_re, se_im = _monte_carlo_by_whole_chunks(rho, n, 0.5, 45000, 40 + n)
-        assert np.abs(got.mean - mean).max() <= 1e-13, n
-        for se_got, se_ref in ((got.stderr_re, se_re), (got.stderr_im, se_im)):
-            assert np.abs(se_got - se_ref).max() <= 1e-13 * se_ref.max(), n
+        _assert_matches_whole_chunks(rho, n, 0.5, 45000, 40 + n, 1e-13, 1e-13)
     # a near-mixed input: every entry barely moves, so unshifted sums of x
     # and x^2 would cancel catastrophically (they miss by ~1e-2 here)
     d = 16
     rho = (1 - 1e-6) * np.eye(d) / d + 1e-6 * verify._random_density(rng, d)
-    got = monte_carlo_channel(rho, ChannelSpec(4, 0.5), 25000, seed=44)
-    mean, se_re, se_im = _monte_carlo_by_whole_chunks(rho, 4, 0.5, 25000, 44)
-    assert np.abs(got.mean - mean).max() <= 1e-15
-    for se_got, se_ref in ((got.stderr_re, se_re), (got.stderr_im, se_im)):
-        assert np.abs(se_got - se_ref).max() <= 1e-8 * se_ref.max()
+    _assert_matches_whole_chunks(rho, 4, 0.5, 25000, 44, 1e-15, 1e-8)
+    # one qubit (a single adjoint factor), five qubits (four batched products
+    # after the first) and t = 0 (every qubit turned by one shared rotation)
+    for n, t, samples, seed in ((1, 0.5, 45000, 41), (5, 0.5, 2000, 45), (3, 0.0, 25000, 46)):
+        rho = verify._random_density(rng, 2**n)
+        _assert_matches_whole_chunks(rho, n, t, samples, seed, 1e-13, 1e-13)
 
 
 def test_monte_carlo_maximally_mixed_input():
@@ -258,9 +263,9 @@ def test_monte_carlo_maximally_mixed_input():
 
 
 def test_monte_carlo_chunk_shrinks_with_register_size():
-    # a chunk holds only its group elements, and the input is conjugated
-    # in slices of about 1 MB, so the traced peak stays far below one
-    # (20000, 2^N, 2^N) complex stack (82 MB at N = 4) at any register size
+    # a chunk holds only its quaternions, and the input's Pauli coordinates
+    # are conjugated in slices of 2^16 reals, so the traced peak stays far
+    # below one (20000, 2^N, 2^N) complex stack (82 MB at N = 4)
     for n, samples in ((6, 2500), (4, 20000)):
         d = 2**n
         tracemalloc.start()
