@@ -6,12 +6,13 @@ arrays (see coupling): the input is twirled into convention 1, each step
 mixes the total-momentum axis elementwise with transfer amplitudes R(t),
 read off a t-free kernel of 6j weights built once per (N, step), the
 convention is raised between steps, and the convention-(N-1) result is
-embedded as a dense matrix.  channel_apply validates its input; the
-unchecked linear core _apply_linear also serves the Choi matrix and the
-three-qubit bridge.  A Monte Carlo integrator over the same noise model
-is an independent oracle: it draws independent samples, each a Markov chain
-of rotations along the register, and turns the input's real Pauli
-coordinates by each sample's 4x4 adjoint factors, in cache-sized slices.
+embedded as a dense matrix.  Only the twirl and the embed build dense
+coupled bases.  channel_apply validates its input; the unchecked linear
+core _apply_linear also serves the Choi matrix.  A Monte Carlo integrator
+over the same noise model is an independent oracle: it draws independent
+samples, each a Markov chain of rotations along the register, and turns
+the input's real Pauli coordinates by each sample's 4x4 adjoint factors,
+in cache-sized slices.
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ standing for sum_{J,a,a'} T[J,a,a'] P_J^{a,a'} with
 P_J^{a,a'} = (1/(2J+1)) sum_M |J M a><J M a'|.  The axis j runs over
 total_j_values(N); a and a' run over all convention-k paths, the same for
 every J, and entries whose path cannot couple to J are zero.  Leading axes
-are batch axes.  Twirl and embed are one product each with
-basis_matrix(N, k).  Raising the convention from k to k+1 is
-T_J -> V_J T_J V_J^T, where the real orthogonal V_J holds the overlaps of
-the two conventions' coupled states of J.
+are batch axes.  The twirl (into convention 1) and the embed are one
+product each with the dense basis_matrix(N, k).  Raising the convention
+from k to k+1 is T_J -> V_J T_J V_J^T, where the real orthogonal V_J holds
+the overlaps of the two conventions' coupled states of J: recoupling
+coefficients U, so the raise builds no dense basis.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .halfint import projection_valid, twice_labels
 from .numerics import validate_n
-from .wigner import clebsch_gordan, triangle_ok
+from .wigner import clebsch_gordan, recoupling_u, triangle_ok
 
 
 @dataclass(frozen=True, order=True)
@@ -235,22 +236,20 @@ def convention(N: int, k: int) -> Convention:
     return Convention(paths, tjs, members, block_types, type_of, columns)
 
 
-def _top_states(N: int, k: int) -> list:
-    """Per total momentum J, the real top (M = J) coupled states of the
-    convention-k paths of J: one column of basis_matrix(N, k) each."""
-    conv, basis = convention(N, k), basis_matrix(N, k).real
-    return [basis[:, cols][:, ::tj + 1] for tj, cols in zip(conv.tjs, conv.columns)]
-
-
 @lru_cache(maxsize=64)
 def _raise_matrix(N: int, k: int) -> np.ndarray:
-    """Read-only V[j, b, a] = <J J b|J J a>, the overlap of the top states
-    of convention-(k+1) path b and convention-k path a; zero off the
-    members of J."""
+    """Read-only V[j, b, a] = <J J b|J J a> of convention-(k+1) path b and
+    convention-k path a.  The raise moves spin k+1 from the right block to
+    the left one, so a meets only the paths b that extend its left walk by
+    one step and drop the head of its right walk, each in one recoupling
+    coefficient U, which is zero where a or b cannot couple to J."""
     lo, hi = convention(N, k), convention(N, k + 1)
+    index = {p: b for b, p in enumerate(hi.paths)}
     v = np.zeros((len(lo.tjs), len(hi.paths), len(lo.paths)))
-    for j, (old, new) in enumerate(zip(_top_states(N, k), _top_states(N, k + 1))):
-        v[j, hi.members[j][:, None], lo.members[j]] = new.T @ old
+    for a, p in enumerate(lo.paths):
+        for tl in range(abs(p.t_left - 1), p.t_left + 2, 2):
+            b = index[CouplingPath(k + 1, p.left + (tl,), p.right[1:])]
+            v[:, b, a] = [recoupling_u(p.t_left, 1, tj, p.right[1], tl, p.t_right) for tj in lo.tjs]
     v.setflags(write=False)
     return v
 
@@ -263,16 +262,16 @@ def raise_convention(blocks: np.ndarray, N: int, k: int) -> np.ndarray:
     return v @ blocks @ v.transpose(0, 2, 1)
 
 
-def _twirl_linear(rho: np.ndarray, N: int, k: int = 1) -> np.ndarray:
-    """Convention-k block array of the twirl of any linear operator(s).
+def _twirl_linear(rho: np.ndarray, N: int) -> np.ndarray:
+    """Convention-1 block array of the twirl of any linear operator(s).
 
     T[..., j, a, a'] = sum_M <J M a|rho|J M a'>; leading axes are batch axes.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (2**N, 2**N):
         raise ValueError(f"expected a {2**N}-dimensional matrix")
-    conv = convention(N, k)
-    basis = basis_matrix(N, k)
+    conv = convention(N, 1)
+    basis = basis_matrix(N, 1)
     sigma = basis.conj().T @ rho @ basis
     batch = rho.shape[:-2]
     out = np.zeros(batch + (len(conv.tjs), len(conv.paths), len(conv.paths)), dtype=complex)

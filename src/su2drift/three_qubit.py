@@ -145,32 +145,28 @@ def _exchange_map(t: float) -> np.ndarray:
     return numerics.complement_map(qutrit_choi(t), 3)
 
 
-# --- bridge to the general channel machinery ------------------------------
+# --- bridge to the general channel engine ---------------------------------
 
 
-def qutrit_to_dense(rho: np.ndarray) -> np.ndarray:
-    """Embed a qutrit state as a dense twirled 8-dimensional matrix."""
+def qutrit_channel_general(rho: np.ndarray, t: float) -> np.ndarray:
+    """Qutrit channel computed by the general N = 3 engine on block arrays.
+
+    The qutrit is a convention-2 block array: its qubit block in the
+    multiplicity-label basis at J = 1/2 and its |2> weight on the j12 = 1
+    path of J = 3/2.  It is lowered to convention 1 by V_J^T T_J V_J, run
+    through the diffusion steps and read back from convention 2.
+    """
     rho = np.asarray(rho, dtype=complex)
-    # Convention-2 block array: J = 1/2, 3/2 by the paths j12 = 0, 1.
+    spec = channel.ChannelSpec(3, t)
     blocks = np.zeros((2, 2, 2), dtype=complex)
-    blocks[0] = E_BASIS @ rho[:2, :2] @ E_BASIS  # multiplicity-label basis
+    blocks[0] = E_BASIS @ rho[:2, :2] @ E_BASIS
     blocks[1, 1, 1] = rho[2, 2]
-    return coupling.embed_blocks(blocks, 3, 2)
-
-
-def dense_to_qutrit(rho: np.ndarray) -> np.ndarray:
-    """Read a twirled 8-dimensional matrix back into the qutrit picture."""
-    blocks = coupling._twirl_linear(rho, 3, 2)
+    v = coupling._raise_matrix(3, 1)
+    blocks = channel.channel_on_blocks(v.transpose(0, 2, 1) @ blocks @ v, 3, spec.t)
     out = np.zeros((3, 3), dtype=complex)
     out[:2, :2] = E_BASIS @ blocks[0] @ E_BASIS
     out[2, 2] = blocks[1, 1, 1]
     return out
-
-
-def qutrit_channel_general(rho: np.ndarray, t: float) -> np.ndarray:
-    """Qutrit channel computed through the general N = 3 channel engine."""
-    out = channel._apply_linear(qutrit_to_dense(rho), channel.ChannelSpec(3, t))
-    return dense_to_qutrit(out)
 
 
 # --- fidelity --------------------------------------------------------------

@@ -5,8 +5,8 @@ Condon-Shortley phase convention and are evaluated exactly: Racah's single
 sum is one Python integer over a common denominator, its squared prefactor
 a ratio of factorials, and the result is rounded to double precision once.
 Selection-rule violations return 0.0 rather than raising, so callers may
-sum freely over index ranges.  The exact sums cost more as the labels grow,
-so a label above MAX_TJ raises ValueError.
+sum freely over index ranges.  The exact integers grow with the factorials
+of the labels, so a label above MAX_TJ raises ValueError.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from functools import lru_cache
 
 from .halfint import projection_valid, twice_labels
 
-#: Largest twice-j label any coefficient accepts, a cap on cost alone: the
-#: costliest call at the cap, wigner_6j(*(MAX_TJ,) * 6), takes 13-21 ms
-#: (clebsch_gordan at the cap 3-5 ms) on a 2-core Intel Xeon host.
+#: Largest twice-j label any coefficient accepts, a bound on labels from
+#: outside: the exact integers grow with the labels' factorials (31000 bits
+#: for the all-MAX_TJ 6j, 12-21 ms on a 2-core Intel Xeon host; CG 3-6 ms).
 MAX_TJ = 1000
 
 _fact = math.factorial
@@ -27,8 +27,8 @@ _fact = math.factorial
 def _check_cap(*tjs: int):
     """Raise if a checked twice-j label exceeds MAX_TJ."""
     if max(tjs) > MAX_TJ:
-        raise ValueError(f"twice-j labels above MAX_TJ = {MAX_TJ} cost too much to "
-                         f"evaluate, got {max(tjs)}")
+        raise ValueError(f"twice-j labels above MAX_TJ = {MAX_TJ} are rejected, since the "
+                         f"exact sums grow with the labels' factorials; got {max(tjs)}")
 
 
 def _alternating_sum(lo, hi, rising, falling, grow=()) -> tuple:

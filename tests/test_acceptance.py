@@ -82,7 +82,7 @@ _MC_SEEDS = {
 
 
 def test_criterion_3_oracle_equivalence():
-    """Projector pipeline vs Monte Carlo sampling: 5 random states for each
+    """Channel engine vs Monte Carlo sampling: 5 random states for each
     N in {2,3,4}, t in {0.2, 1}; max deviation < 3 standard errors at 1e5
     samples (pinned seeds); and the verify Monte Carlo oracle check."""
     worst = 0.0
@@ -100,7 +100,7 @@ def test_criterion_3_oracle_equivalence():
     oracle_ok, oracle_detail = verify.check_mc_oracle({"seed": VERIFY_SEED})
     ok = worst < 3.0 and oracle_ok
     record_criterion(
-        "3 pipeline vs Monte Carlo (30 runs, <3 sigma at 1e5 samples)", ok,
+        "3 channel engine vs Monte Carlo (30 runs, <3 sigma at 1e5 samples)", ok,
         f"max deviation {worst:.2f} sigma; oracle check {oracle_detail}",
     )
     assert ok
@@ -114,8 +114,9 @@ def test_criterion_4_werner_shrink():
 
 
 def test_criterion_5_three_qubit_closed_forms():
-    """Closed forms vs the general pipeline within 1e-10 at 4 t-values x 12
-    states; symmetric input at t = ln 2 gives diag(3/16, 5/48, 17/24)."""
+    """Closed forms vs the general engine on block arrays within 1e-10 at
+    4 t-values x 12 states; symmetric input at t = ln 2 gives
+    diag(3/16, 5/48, 17/24)."""
     forms_ok, forms_detail = verify.check_three_qubit_closed_forms({"seed": VERIFY_SEED})
     out = tq.qutrit_channel(tq.SYMMETRIC_STATE, math.log(2))
     diag_defect = np.abs(out - np.diag([3 / 16, 5 / 48, 17 / 24])).max()

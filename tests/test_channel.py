@@ -185,6 +185,20 @@ def test_engine_tables_read_only():
             assert not coupling._raise_matrix(n, k).flags.writeable
 
 
+def test_engine_builds_dense_bases_only_at_its_boundary():
+    # the raise matrices come from recoupling coefficients, so one apply
+    # builds only the twirl's and the embed's bases, and the N = 3 bridge none
+    coupling.basis_matrix.cache_clear()
+    coupling._raise_matrix.cache_clear()
+    rho = verify._random_density(np.random.default_rng(41), 2**6)
+    channel_apply(rho, ChannelSpec(6, 0.4))
+    assert coupling.basis_matrix.cache_info().currsize == 2
+    coupling.basis_matrix.cache_clear()
+    coupling._raise_matrix.cache_clear()
+    three_qubit.qutrit_channel_general(three_qubit.SYMMETRIC_STATE, 0.4)
+    assert coupling.basis_matrix.cache_info().currsize == 0
+
+
 def test_monte_carlo_deterministic():
     rng = np.random.default_rng(27)
     rho = verify._random_density(rng, 4)

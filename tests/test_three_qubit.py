@@ -47,19 +47,6 @@ def test_channel_erases_symmetric_coherences():
     assert abs(out[0, 1]) > 1e-3
 
 
-def test_dense_qutrit_bridge_roundtrip():
-    # the bridge covers the invariant sector: qubit block plus symmetric
-    # weight; coherences into the symmetric block are not representable
-    rng = np.random.default_rng(31)
-    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    rho = x @ x.conj().T
-    rho /= np.trace(rho)
-    rho[0:2, 2] = 0.0
-    rho[2, 0:2] = 0.0
-    back = tq.dense_to_qutrit(tq.qutrit_to_dense(rho))
-    assert np.abs(back - rho).max() < 1e-12
-
-
 def test_bloch_map_shrink_factors():
     t = 0.9
     shrink, translation = tq.effective_qubit_map(t)

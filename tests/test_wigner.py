@@ -10,7 +10,7 @@ from sympy import Rational, S
 from sympy.physics.quantum.cg import CG
 from sympy.physics.wigner import wigner_6j as sympy_6j
 
-from su2drift import su2
+from su2drift import coupling, su2
 from su2drift.channel import r_coefficient
 from su2drift.coupling import (
     coupled_basis_states,
@@ -190,3 +190,16 @@ def test_recoupling_u_resolves_basis_change():
             vb = coupled_basis_vector(3, tJ, tJ, b)
             u = recoupling_u(t1, t2, tJ, t3, t12, t23)
             assert np.vdot(vb, va) == pytest.approx(u, abs=1e-13)
+    # the raise matrices, built from U, equal the top-state (M = J) overlaps
+    # of the dense bases of conventions k and k + 1
+    for n in range(3, 7):
+        for k in range(1, n - 1):
+            lo, hi = coupling.convention(n, k), coupling.convention(n, k + 1)
+            old, new = coupling.basis_matrix(n, k).real, coupling.basis_matrix(n, k + 1).real
+            v = coupling._raise_matrix(n, k)
+            for j, tj in enumerate(lo.tjs):
+                top_old = old[:, lo.columns[j]][:, ::tj + 1]
+                top_new = new[:, hi.columns[j]][:, ::tj + 1]
+                ref = np.zeros(v.shape[1:])
+                ref[np.ix_(hi.members[j], lo.members[j])] = top_new.T @ top_old
+                assert np.abs(v[j] - ref).max() <= 1e-14, (n, k, tj)
