@@ -13,7 +13,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.linalg import lapack
 
 #: Shared eigenvalue clamp used before entropies and PSD checks.
@@ -192,6 +191,8 @@ def nelder_mead_maximize(f, x0, config: OptimizerConfig = OptimizerConfig()) -> 
     Restart k perturbs x0 with seeded Gaussian noise of growing scale and
     polishes the running best; the best point across restarts wins.
     """
+    from scipy import optimize
+
     x0 = np.asarray(x0, dtype=float)
     rng = np.random.default_rng(config.seed)
     best_x, best_f = x0, f(x0)

@@ -400,12 +400,25 @@ def holevo_chi(ensemble: Ensemble, t: float) -> float:
 
 
 def _chi_fast(weights, coords, t: float) -> float:
-    """Holevo quantity without validation, for optimizer hot paths: each
-    member given by its _coords, their average by linearity."""
+    """Holevo quantity without validation: each member given by its
+    _coords, their average by linearity."""
     out_map = _output_map(t)
     members = sum(w * _output_entropy(out_map, c) for w, c in zip(weights, coords))
     avg = [sum(map(operator.mul, weights, column)) for column in zip(*coords)]
     return _output_entropy(out_map, avg) - members
+
+
+def _mirrored_pair_chi(q: float, theta: float, phi: float, out_map: tuple,
+                       s_sym: float) -> float:
+    """Holevo quantity of the mirrored pair, _pure_qubit_coords at (theta,
+    phi) and (-theta, phi) with weight q each, plus |2> with 1 - 2q, given
+    s_sym = S(E(|2>)) from out_map.  Two entropies: the members' coherences
+    cancel in the average, and the two members share |b|, the only part of
+    their coherence that _output_entropy reads."""
+    r00, r11, _, u, v = _pure_qubit_coords(theta, phi)
+    p = 2.0 * q
+    s_avg = _output_entropy(out_map, (p * r00, p * r11, 1.0 - p, 0.0, 0.0))
+    return s_avg - (p * _output_entropy(out_map, (r00, r11, 0.0, u, v)) + (1.0 - p) * s_sym)
 
 
 def _holevo_upper_bound(weights, coords, t: float) -> float:
@@ -499,21 +512,26 @@ def maximize_holevo(
     """Holevo capacity from the mirrored-pair family (q, theta), certified
     by an upper bound.
 
-    The family is optimized directly; _holevo_upper_bound at its average
-    then brackets the capacity over all ensembles as [capacity,
-    upper_bound], with no search outside the family.
+    The family is optimized directly over (x, theta) with q = sigmoid(x)/2,
+    each evaluation the two entropies of _mirrored_pair_chi.  The search
+    starts at the t = 0 optimum q = 1/3, theta = pi/2 (x = ln 2): from a
+    zero coordinate Nelder-Mead's first step would be 0.00025 wide.
+    _holevo_upper_bound at the family average then brackets the capacity
+    over all ensembles as [capacity, upper_bound], with no search outside
+    the family.
     """
     t = numerics.validate_time(t)
     if config is None:
         config = numerics.OptimizerConfig(restarts=16, max_iters=2500, seed=5)
+    out_map = _output_map(t)
+    s_sym = _output_entropy(out_map, SYMMETRIC_COORDS)
 
     def family_obj(p):
         x, theta = p.tolist()
-        q = 0.5 * _sigmoid(x)
-        pair = _pure_qubit_coords(theta, 0.0), _pure_qubit_coords(-theta, 0.0)
-        return _chi_fast((q, q, 1.0 - 2.0 * q), (*pair, SYMMETRIC_COORDS), t)
+        return _mirrored_pair_chi(0.5 * _sigmoid(x), theta, 0.0, out_map, s_sym)
 
-    fam = numerics.nelder_mead_maximize(family_obj, np.array([0.0, math.pi / 2]), config)
+    fam = numerics.nelder_mead_maximize(family_obj, np.array([math.log(2.0), math.pi / 2]),
+                                        config)
     q = 0.5 * _sigmoid(fam.x[0])
     theta = _normalize_theta(fam.x[1])
     members = _pure_qubit_coords(theta, 0.0), _pure_qubit_coords(-theta, 0.0), SYMMETRIC_COORDS
@@ -542,13 +560,13 @@ def orthogonal_benchmark(t: float) -> tuple:
     from scipy import optimize
 
     t = numerics.validate_time(t)
+    out_map = _output_map(t)
+    s_sym = _output_entropy(out_map, SYMMETRIC_COORDS)
     values = []
     for phi in (0.0, math.pi / 2):
-        members = (*(_pure_qubit_coords(th, phi) for th in (math.pi / 2, -math.pi / 2)),
-                   SYMMETRIC_COORDS)
-        res = optimize.minimize_scalar(lambda q: -_chi_fast((q, q, 1.0 - 2.0 * q), members, t),
-                                       bounds=(0.0, 0.5), method="bounded",
-                                       options={"xatol": 1e-10})
+        res = optimize.minimize_scalar(
+            lambda q: -_mirrored_pair_chi(q, math.pi / 2, phi, out_map, s_sym),
+            bounds=(0.0, 0.5), method="bounded", options={"xatol": 1e-10})
         values.append(float(-res.fun))
     return tuple(values)
 

@@ -384,10 +384,19 @@ def check_three_qubit_objectives(ctx):
     qutrit_channel and von_neumann_entropy.  Holevo ensembles mix pure
     qubit-block states, |2> and pure qutrit states with |2> coherence, which
     the channel erases; pure qubit-block inputs give rank-deficient outputs
-    at t = 0.  Coherent information takes W by explicit traces over the Kraus
-    set and a unitary remix of it (gauge invariance), on rank 1-3 inputs."""
+    at t = 0.  _mirrored_pair_chi, under the same Holevo gate, meets both
+    _chi_fast of the explicit three-member ensemble and the dense reference,
+    at random (q, theta, phi) with q in {0, 1/2} and phi = pi/2 among them.
+    Coherent information takes W by explicit traces over the Kraus set and a
+    unitary remix of it (gauge invariance), on rank 1-3 inputs."""
     rng = np.random.default_rng(ctx["seed"] + 12)
+    pair_rng = np.random.default_rng(ctx["seed"] + 18)
     tq, ent = three_qubit, numerics.von_neumann_entropy
+
+    def dense_chi(w, states, t):
+        avg = tq.qutrit_channel(sum(p * s for p, s in zip(w, states)), t)
+        return ent(avg) - sum(p * ent(tq.qutrit_channel(s, t)) for p, s in zip(w, states))
+
     worst = np.zeros(3)  # channel maps, Holevo, coherent information
     for k, (t, rank) in enumerate(itertools.product((0.0, 0.05, 0.5, 2.0, 3.0), (1, 2, 3) * 4)):
         rho = _random_density(rng, 3)
@@ -406,10 +415,17 @@ def check_three_qubit_objectives(ctx):
                   *(np.outer(v, v.conj()) for v in psi)]
         w = np.exp(rng.normal(size=len(states)))
         w /= w.sum()
-        s_out = [ent(tq.qutrit_channel(s, t)) for s in states]
-        s_avg = ent(tq.qutrit_channel(sum(p * s for p, s in zip(w, states)), t))
-        d_chi = abs(tq._chi_fast(w, [tq._coords(s) for s in states], t)
-                    - (s_avg - np.dot(w, s_out)))
+        d_chi = abs(tq._chi_fast(w, [tq._coords(s) for s in states], t) - dense_chi(w, states, t))
+        q = (0.0, 0.5, pair_rng.uniform(0, 0.5))[k % 3]
+        theta = pair_rng.uniform(-math.pi, math.pi)
+        phi = (pair_rng.uniform(0, 2 * math.pi), math.pi / 2)[k % 2]
+        w, states = (q, q, 1 - 2 * q), [*tq.pure_qubit_state([theta, -theta], phi),
+                                        tq.SYMMETRIC_STATE]
+        out_map = tq._output_map(t)
+        pair = tq._mirrored_pair_chi(q, theta, phi, out_map,
+                                     tq._output_entropy(out_map, tq.SYMMETRIC_COORDS))
+        d_chi = max(d_chi, abs(pair - tq._chi_fast(w, [tq._coords(s) for s in states], t)),
+                    abs(pair - dense_chi(w, states, t)))
         x = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
         x[2] *= k % 2  # every other input on the qubit block
         rho = x @ x.conj().T / np.sum(np.abs(x) ** 2)
@@ -424,7 +440,9 @@ def check_three_qubit_objectives(ctx):
 
 
 def check_holevo_upper_bound(ctx):
-    """maximize_holevo's certificate: 0 <= gap <= 1e-6, and the bound
+    """maximize_holevo's certificate: 0 <= gap <= 1e-6, under the default
+    config and under one restart of 500 iterations at the times where a
+    search from q = 1/4 stalled 0.006-0.45 bits short, and the bound
     _holevo_upper_bound against a dense oracle.  At the family optimum the
     largest divergence sits on the members themselves, so the oracle also
     runs at the same pair with weight 1/4 each, where the maximiser lies
@@ -435,6 +453,8 @@ def check_holevo_upper_bound(ctx):
     tq = three_qubit
     thetas = (np.arange(8) + 0.5) * math.pi / 8
     phis = (np.arange(16) + 0.5) * math.pi / 8
+    single = numerics.OptimizerConfig(restarts=1, max_iters=500, seed=7)
+    single_gaps = [tq.maximize_holevo(t, single).gap for t in (0.02, 0.0575, 0.0825, 0.185, 0.23)]
     gaps, worst_excess = [], -math.inf
     for t in (0.0, 0.1, 0.5, 1.5):
         r = tq.maximize_holevo(t)
@@ -453,9 +473,10 @@ def check_holevo_upper_bound(ctx):
                 out = tq.qutrit_channel(np.outer(psi, np.conj(psi)), t)
                 d = -numerics.von_neumann_entropy(out) - np.trace(out @ log_tau).real
                 worst_excess = max(worst_excess, d - bound)
-    ok = 0.0 <= min(gaps) and max(gaps) <= 1e-6 and worst_excess <= 1e-12
-    return ok, (f"gap {min(gaps):.1e} to {max(gaps):.1e}, "
-                f"max grid D - upper bound {worst_excess:.1e}")
+    ok = 0.0 <= min(gaps + single_gaps) and max(gaps + single_gaps) <= 1e-6
+    ok = ok and worst_excess <= 1e-12
+    return ok, (f"gap {min(gaps):.1e} to {max(gaps):.1e}, one restart {min(single_gaps):.1e} "
+                f"to {max(single_gaps):.1e}, max grid D - upper bound {worst_excess:.1e}")
 
 
 def check_qutrit_not_degradable(ctx):

@@ -1,10 +1,14 @@
 """Entropy, optimizer, and quadrature utilities."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import su2drift
 from su2drift import numerics
 from su2drift.numerics import (
     OptimizerConfig,
@@ -100,6 +104,15 @@ def test_optimizer_config_validation():
     for iters in (0, -5):
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=1, max_iters=iters)
+
+
+def test_import_defers_scipy_optimize():
+    # scipy.optimize loads on the first search, not with the package
+    src = os.path.dirname(os.path.dirname(su2drift.__file__))
+    code = "import sys, su2drift; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_sphere_quadrature_exact_rules():
